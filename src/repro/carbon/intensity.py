@@ -46,6 +46,14 @@ class CarbonIntensityTrace:
             raise ValueError("times_h and values must be 1-D arrays of equal length")
         if times.size < 2:
             raise ValueError("a trace needs at least two samples")
+        # NaN compares False against everything, so without this a feed gap
+        # would slip past the checks below and surface as NaN carbon.
+        for label, arr in (("times_h", times), ("values", vals)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(
+                    f"{label} must be finite; got non-finite samples at "
+                    f"indices {np.flatnonzero(~np.isfinite(arr)).tolist()}"
+                )
         if np.any(np.diff(times) <= 0):
             raise ValueError("times_h must be strictly increasing")
         if np.any(vals <= 0):

@@ -25,12 +25,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro.gpu.slices import SLICE_TYPES
 from repro.core.config import ClusterConfig, GpuAssignment
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["ConfigGraph", "graph_edit_distance"]
 
@@ -198,8 +201,15 @@ class ConfigGraph:
         """The directed bipartite graph of Definition 1, as a NetworkX graph.
 
         Variant vertices are ``"V1" .. "Vk"``, slice vertices ``"1g" ..
-        "7g"``; only edges with positive weight are materialized.
+        "7g"``; only edges with positive weight are materialized.  Needs
+        networkx, an optional extra (``clover-repro[graph]``).
         """
+        try:
+            import networkx as nx
+        except ImportError as exc:
+            raise ImportError(
+                "to_networkx needs networkx: pip install clover-repro[graph]"
+            ) from exc
         g = nx.DiGraph()
         for v in range(self.num_variants):
             g.add_node(f"V{v + 1}", bipartite="variant")

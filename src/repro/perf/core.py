@@ -27,6 +27,7 @@ dimensionless and compare directly.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
 
@@ -109,6 +110,18 @@ def calibration_ops_per_s(repeats: int = 5) -> float:
     return 1.0 / best
 
 
+def _clock() -> float:
+    """Start a timed region from a clean collector state.
+
+    A full GC pass owed by earlier work (a previous scenario's garbage)
+    fires whenever the tracked-object count crosses CPython's threshold,
+    which depends on everything the process has imported; collecting
+    first keeps that pass out of a region that lasts tens of ms.
+    """
+    gc.collect()
+    return time.perf_counter()
+
+
 def _family_setup():
     from repro.models.perf import PerfModel
     from repro.models.zoo import default_zoo
@@ -156,12 +169,12 @@ def scenario_batch_eval_1k(fidelity: str = "default") -> ScenarioResult:
 
     fresh().evaluate_batch(configs)  # warm the process-level memos
 
-    t0 = time.perf_counter()
+    t0 = _clock()
     fresh().evaluate_batch(configs)
     batch_s = time.perf_counter() - t0
 
     evaluator = fresh()
-    t0 = time.perf_counter()
+    t0 = _clock()
     for config in configs:
         evaluator.evaluate(config)
     scalar_s = time.perf_counter() - t0
@@ -213,7 +226,7 @@ def scenario_sa_epoch(fidelity: str = "default") -> ScenarioResult:
             time_budget_s=1e9,
             neighborhood=neighborhood,
         )
-        t0 = time.perf_counter()
+        t0 = _clock()
         result = simulated_annealing(
             initial, evaluator, objective, ci=300.0, moves=moves,
             rng=11, params=params,
@@ -262,7 +275,7 @@ def scenario_routing_epoch(fidelity: str = "default") -> ScenarioResult:
 
     def day(planner) -> float:
         prev_plan = None
-        t0 = time.perf_counter()
+        t0 = _clock()
         for e in range(epochs):
             t_h = 24.0 * e / epochs
             diurnal = 1.0 + 0.5 * np.sin(2.0 * np.pi * t_h / 24.0 + phase_o)
@@ -323,7 +336,7 @@ def scenario_shifting_epoch(fidelity: str = "default") -> ScenarioResult:
     caps_base = 40.0 * (1.0 + 0.5 * np.sin(2.0 * np.pi * slots / n_slots))
 
     def day(planner) -> float:
-        t0 = time.perf_counter()
+        t0 = _clock()
         for e in range(epochs):
             phase = 2.0 * np.pi * e / epochs
             scores = 200.0 + 150.0 * np.sin(2.0 * np.pi * slots / 24.0 + phase)

@@ -279,16 +279,29 @@ class BatchQueueEstimate:
             )[:, None]
         degenerate = ((self.p_wait <= 0) | (self.mean_wait_s <= 0))[:, None]
         overloaded = self.overloaded
+        neg_beta = -beta
+        # The (n, m) block is updated in place in buffers owned by this
+        # closure: a fresh temporary per op per pass means a fresh mmap
+        # and its page faults once the block outgrows glibc's mmap
+        # threshold, which costs more than the arithmetic.  Same ops in the
+        # same order as the expression form, so results are bit-identical.
+        x = np.empty(service.shape)
+        nonneg = np.empty(service.shape, dtype=bool)
+        negative = np.empty(service.shape, dtype=bool)
 
         def cdf(t_s: np.ndarray) -> np.ndarray:
-            t = t_s[:, None]
-            x = t - service
-            nonneg = x >= 0
-            tail = 1.0 - p_wait * np.exp(-beta * np.where(nonneg, x, 0.0))
-            terms = np.where(
-                degenerate, nonneg, np.where(nonneg, tail, 0.0)
-            )
-            return np.where(overloaded, 0.0, np.sum(shares * terms, axis=1))
+            np.subtract(t_s[:, None], service, out=x)
+            np.greater_equal(x, 0, out=nonneg)
+            np.logical_not(nonneg, out=negative)
+            np.copyto(x, 0.0, where=negative)
+            np.multiply(neg_beta, x, out=x)
+            np.exp(x, out=x)
+            np.multiply(p_wait, x, out=x)
+            np.subtract(1.0, x, out=x)  # the waiting tail
+            np.copyto(x, 0.0, where=negative)
+            np.copyto(x, nonneg, where=degenerate)
+            np.multiply(shares, x, out=x)
+            return np.where(overloaded, 0.0, np.sum(x, axis=1))
 
         return cdf
 

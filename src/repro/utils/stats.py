@@ -5,7 +5,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 __all__ = [
     "exact_percentile",
@@ -77,7 +76,16 @@ def percentile_ci(
     this quantifies it (scipy's BCa bootstrap).  Used when comparing a
     measured p95 against the SLA boundary: a config is only *confidently*
     violating if the whole interval sits above the target.
+
+    Needs scipy, which is an optional extra (``clover-repro[stats]``); it
+    is imported here so that ``import repro`` never loads it.
     """
+    try:
+        from scipy import stats as scipy_stats
+    except ImportError as exc:
+        raise ImportError(
+            "percentile_ci needs scipy: pip install clover-repro[stats]"
+        ) from exc
     arr = np.asarray(values, dtype=np.float64)
     if arr.size < 10:
         raise ValueError(
@@ -87,7 +95,7 @@ def percentile_ci(
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     if not 0.0 <= q <= 100.0:
         raise ValueError(f"percentile must be in [0, 100], got {q}")
-    result = _scipy_stats.bootstrap(
+    result = scipy_stats.bootstrap(
         (arr,),
         lambda a, axis=-1: np.percentile(a, q, axis=axis),
         confidence_level=confidence,

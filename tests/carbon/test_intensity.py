@@ -100,6 +100,20 @@ class TestValidation:
                 times_h=np.array([0.0, 1.0]), values=np.array([10.0, 0.0])
             )
 
+    @pytest.mark.parametrize("index", [1, -1])
+    @pytest.mark.parametrize("field", ["times_h", "values"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected(self, index, field, bad):
+        # NaN compares False and an infinite last time still diffs
+        # positive, so neither is caught by the ordering/sign checks.
+        arrays = {
+            "times_h": np.array([0.0, 1.0, 2.0]),
+            "values": np.array([100.0, 110.0, 120.0]),
+        }
+        arrays[field][index] = bad
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            CarbonIntensityTrace(**arrays)
+
     def test_bad_interpolation_rejected(self):
         with pytest.raises(ValueError):
             CarbonIntensityTrace(
