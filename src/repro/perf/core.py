@@ -27,7 +27,6 @@ dimensionless and compare directly.
 
 from __future__ import annotations
 
-import gc
 import time
 from dataclasses import dataclass, field
 
@@ -91,14 +90,23 @@ def calibration_ops_per_s(repeats: int = 5) -> float:
     of a batched CDF pass) is what the hot path spends its time in, so
     normalizing a scenario's ops/s by this number yields a
     machine-portable ratio a committed baseline can be checked against.
+
+    The block is worked in one preallocated buffer so the reading does
+    not depend on allocator state: a fresh 256 KB temporary per op is
+    mmapped and page-faulted on every pass unless an earlier large free
+    (e.g. scipy's import) happened to raise glibc's mmap threshold.
     """
     x = (np.arange(32000, dtype=np.float64) % 97.0).reshape(1000, 32) / 97.0
     w = 1.0 - x[::-1]
+    buf = np.empty_like(x)
 
     def kernel() -> float:
         acc = 0.0
         for k in range(1, 9):
-            acc += float(np.sum(w * np.exp(-k * x), axis=1).sum())
+            np.multiply(x, -k, out=buf)
+            np.exp(buf, out=buf)
+            np.multiply(w, buf, out=buf)
+            acc += float(np.sum(buf, axis=1).sum())
         return acc
 
     kernel()  # warm
@@ -108,18 +116,6 @@ def calibration_ops_per_s(repeats: int = 5) -> float:
         kernel()
         best = min(best, time.perf_counter() - t0)
     return 1.0 / best
-
-
-def _clock() -> float:
-    """Start a timed region from a clean collector state.
-
-    A full GC pass owed by earlier work (a previous scenario's garbage)
-    fires whenever the tracked-object count crosses CPython's threshold,
-    which depends on everything the process has imported; collecting
-    first keeps that pass out of a region that lasts tens of ms.
-    """
-    gc.collect()
-    return time.perf_counter()
 
 
 def _family_setup():
@@ -169,12 +165,12 @@ def scenario_batch_eval_1k(fidelity: str = "default") -> ScenarioResult:
 
     fresh().evaluate_batch(configs)  # warm the process-level memos
 
-    t0 = _clock()
+    t0 = time.perf_counter()
     fresh().evaluate_batch(configs)
     batch_s = time.perf_counter() - t0
 
     evaluator = fresh()
-    t0 = _clock()
+    t0 = time.perf_counter()
     for config in configs:
         evaluator.evaluate(config)
     scalar_s = time.perf_counter() - t0
@@ -226,7 +222,7 @@ def scenario_sa_epoch(fidelity: str = "default") -> ScenarioResult:
             time_budget_s=1e9,
             neighborhood=neighborhood,
         )
-        t0 = _clock()
+        t0 = time.perf_counter()
         result = simulated_annealing(
             initial, evaluator, objective, ci=300.0, moves=moves,
             rng=11, params=params,
@@ -275,7 +271,7 @@ def scenario_routing_epoch(fidelity: str = "default") -> ScenarioResult:
 
     def day(planner) -> float:
         prev_plan = None
-        t0 = _clock()
+        t0 = time.perf_counter()
         for e in range(epochs):
             t_h = 24.0 * e / epochs
             diurnal = 1.0 + 0.5 * np.sin(2.0 * np.pi * t_h / 24.0 + phase_o)
@@ -336,7 +332,7 @@ def scenario_shifting_epoch(fidelity: str = "default") -> ScenarioResult:
     caps_base = 40.0 * (1.0 + 0.5 * np.sin(2.0 * np.pi * slots / n_slots))
 
     def day(planner) -> float:
-        t0 = _clock()
+        t0 = time.perf_counter()
         for e in range(epochs):
             phase = 2.0 * np.pi * e / epochs
             scores = 200.0 + 150.0 * np.sin(2.0 * np.pi * slots / 24.0 + phase)
