@@ -5,53 +5,54 @@ mixed-quality model variants and MIG GPU partitions to trade carbon
 emissions against accuracy under a p95 tail-latency SLA, re-optimizing
 online as grid carbon intensity changes.
 
-Quickstart::
+Quickstart — one cluster against one grid trace (smoke fidelity keeps
+these examples to seconds; drop it for the evaluation fidelity):
 
-    from repro import CarbonAwareInferenceService
+>>> from repro import CarbonAwareInferenceService
+>>> service = CarbonAwareInferenceService.create(
+...     application="classification", scheme="clover", n_gpus=2,
+...     fidelity="smoke", seed=0,
+... )
+>>> report = service.run(duration_h=3.0)
+>>> report.total_carbon_g > 0 and 0.0 <= report.accuracy_loss_pct < 10.0
+True
 
-    service = CarbonAwareInferenceService.create(
-        application="classification", scheme="clover", seed=0
-    )
-    report = service.run(duration_h=48.0)
-    print(f"carbon: {report.total_carbon_g:.0f} g, "
-          f"accuracy loss: {report.accuracy_loss_pct:.1f}%")
+Multi-region: a :class:`ScenarioSpec` describes the whole fleet and
+:class:`Scenario` builds and runs it.  Geo-diurnal demand with
+forecast-driven proactive routing and elastic GPU capacity (idle power
+follows traffic):
 
-Multi-region::
+>>> from repro import RegionSpec, Scenario, ScenarioSpec
+>>> from repro.scenarios import DemandSpec, GatingSpec, RoutingSpec
+>>> spec = ScenarioSpec(
+...     regions=tuple(
+...         RegionSpec(name=n) for n in ("us-ciso", "uk-eso", "apac-solar")
+...     ),
+...     routing=RoutingSpec(router="forecast-aware", lookahead_h=6.0),
+...     demand=DemandSpec(
+...         kind="diurnal", ramp_share_per_h=0.10, drain_share_per_h=0.20,
+...     ),
+...     gating=GatingSpec(mode="forecast"),
+...     n_gpus=2, fidelity="smoke", duration_h=3.0,
+... )
+>>> report = Scenario(spec).run()
+>>> 0.0 < report.user_sla_attainment <= 1.0  # per origin-region pair
+True
+>>> 0.0 < report.mean_awake_fraction <= 1.0
+True
 
-    from repro import FleetCoordinator, default_fleet_regions
+Heterogeneous GPU generations (routing ranks on gCO2/request):
 
-    fleet = FleetCoordinator.create(
-        default_fleet_regions(), router="carbon-greedy", seed=0
-    )
-    report = fleet.run(duration_h=48.0)
-    print(f"fleet carbon: {report.total_carbon_g:.0f} g, "
-          f"SLA attainment: {100 * report.sla_attainment:.1f}%")
-
-Geo-diurnal demand with forecast-driven proactive routing and elastic
-GPU capacity (idle power follows traffic)::
-
-    from repro import FleetCoordinator, region_by_name
-
-    regions = [region_by_name(n, n_gpus=4)
-               for n in ("us-ciso", "uk-eso", "apac-solar")]
-    fleet = FleetCoordinator.create(
-        regions, router="forecast-aware", demand="diurnal",
-        ramp_share_per_h=0.10, drain_share_per_h=0.20, lookahead_h=6.0,
-        gating="forecast",
-    )
-    report = fleet.run(duration_h=48.0)
-    print(f"user SLA (per origin-region pair): "
-          f"{100 * report.user_sla_attainment:.1f}%, "
-          f"GPUs awake: {100 * report.mean_awake_fraction:.0f}%")
-
-Heterogeneous GPU generations (routing ranks on gCO2/request)::
-
-    from repro import FleetCoordinator, region_by_name
-
-    regions = [region_by_name("us-ciso", n_gpus=2, devices="a100"),
-               region_by_name("apac-solar", n_gpus=2, devices="l4")]
-    fleet = FleetCoordinator.create(regions, router="carbon-greedy")
-    report = fleet.run(duration_h=48.0)
+>>> spec = ScenarioSpec(
+...     regions=(
+...         RegionSpec(name="us-ciso", devices="a100"),
+...         RegionSpec(name="apac-solar", devices="l4"),
+...     ),
+...     routing=RoutingSpec(router="carbon-greedy"),
+...     n_gpus=2, fidelity="smoke", duration_h=3.0,
+... )
+>>> Scenario(spec).run().total_requests > 0
+True
 
 Packages: :mod:`repro.gpu` (MIG substrate), :mod:`repro.models` (Table-1
 model zoo), :mod:`repro.serving` (queueing + DES), :mod:`repro.carbon`

@@ -8,10 +8,7 @@ underlying runs (Figs. 9-13 all read the CISO-March matrix).
 
 Fleet experiments are described by
 :class:`~repro.scenarios.spec.ScenarioSpec` and executed through
-:meth:`ExperimentRunner.run_scenario`.  The historical :class:`FleetSpec`
-remains as a thin shim: :func:`scenario_from_fleet_spec` maps it onto the
-spec the scenario layer runs (tested field-for-field), so pre-scenario
-callers keep working bit for bit.
+:meth:`ExperimentRunner.run_scenario`.
 """
 
 from __future__ import annotations
@@ -27,22 +24,9 @@ from repro.core.service import (
     PAPER_LAMBDA,
     PAPER_N_GPUS,
 )
-from repro.scenarios import (
-    DemandSpec,
-    GatingSpec,
-    RegionSpec,
-    RoutingSpec,
-    Scenario,
-    ScenarioSpec,
-)
+from repro.scenarios import Scenario, ScenarioSpec
 
-__all__ = [
-    "RunSpec",
-    "FleetSpec",
-    "ExperimentRunner",
-    "APPLICATIONS_UNDER_TEST",
-    "scenario_from_fleet_spec",
-]
+__all__ = ["RunSpec", "ExperimentRunner", "APPLICATIONS_UNDER_TEST"]
 
 #: The paper's three evaluation applications, in Table-1 order.
 APPLICATIONS_UNDER_TEST = ("detection", "language", "classification")
@@ -62,130 +46,6 @@ class RunSpec:
     duration_h: float | None = None
     accuracy_floor_pct: float | None = None
     rate_per_s: float | None = None
-
-
-@dataclass(frozen=True)
-class FleetSpec:
-    """Legacy flat description of one multi-region fleet run (shim).
-
-    Superseded by :class:`~repro.scenarios.spec.ScenarioSpec` — the
-    declarative, serializable spec every experiment now runs through.
-    ``FleetSpec`` is kept so pre-scenario callers (and the ``repro
-    fleet`` CLI semantics) keep working: :func:`scenario_from_fleet_spec`
-    converts it, and :meth:`ExperimentRunner.run_fleet` delegates to the
-    scenario path, bit for bit.
-
-    ``net_latency_ms`` overrides every region's registry network latency;
-    the paper-faithful experiments (Fig. 16) pin it to 0.0 because the
-    paper has no network model, while the fleet experiments keep the
-    registry values (``None``).
-
-    The demand fields switch the run into geo-diurnal mode (see
-    :meth:`repro.fleet.FleetCoordinator.create`): ``demand`` names a
-    demand-model kind (``"constant"`` / ``"diurnal"``), ``demand_scale``
-    sizes its mean against the fleet's nominal sizing, the ramp/drain
-    shares bound per-hour traffic migration, and ``lookahead_h`` /
-    ``forecaster`` configure forecast-aware routing.  ``gating`` turns on
-    elastic GPU capacity (``"reactive"`` / ``"forecast"``; ``None`` keeps
-    every GPU always on), and ``wake_energy_j`` overrides the gating
-    policy's per-wake transition energy (fleets with low-power devices
-    need a tighter bound than the A100 default).
-
-    The heterogeneity fields: ``devices`` assigns GPU generations — one
-    device spec for every region (``"l4"``) or a per-region tuple aligned
-    with ``region_names`` (each entry a :func:`repro.gpu.parse_devices`
-    spec, e.g. ``"a100:1,l4:1"`` for a mixed pool); ``None`` keeps the
-    implicit all-A100 fleet.  ``efficiency_weighted=False`` downgrades
-    the carbon-greedy / forecast-aware routers to their intensity-only
-    rankings (the pre-heterogeneity behaviour, used as the ablation
-    baseline by the ``hetero`` experiment).
-    """
-
-    region_names: tuple[str, ...]
-    application: str = "classification"
-    scheme: str = "clover"
-    router: str = "static"
-    fidelity: str = "default"
-    seed: int = 0
-    n_gpus: int = PAPER_N_GPUS
-    lambda_weight: float = PAPER_LAMBDA
-    duration_h: float | None = None
-    net_latency_ms: float | None = None
-    demand: str | None = None
-    demand_scale: float = 0.8
-    ramp_share_per_h: float | None = None
-    drain_share_per_h: float | None = None
-    lookahead_h: float | None = None
-    forecaster: str = "diurnal"
-    gating: str | None = None
-    wake_energy_j: float | None = None
-    devices: tuple[str, ...] | str | None = None
-    efficiency_weighted: bool = True
-
-
-def scenario_from_fleet_spec(spec: FleetSpec) -> ScenarioSpec:
-    """The :class:`ScenarioSpec` a legacy :class:`FleetSpec` describes.
-
-    Field-for-field: region names become :class:`RegionSpec` entries
-    (device strings parsed exactly as the legacy path parsed them), the
-    flat routing/demand/gating knobs land in their sub-specs.  Running
-    the converted spec reproduces the legacy ``run_fleet`` execution bit
-    for bit (golden-tested), which is what lets every legacy experiment
-    and CLI flag become a thin shim over the scenario layer.
-    """
-    from repro.gpu.profiles import parse_region_devices
-
-    if spec.devices is None or isinstance(spec.devices, str):
-        device_specs: tuple[str | None, ...] = (spec.devices,) * len(
-            spec.region_names
-        )
-    else:
-        if len(spec.devices) != len(spec.region_names):
-            raise ValueError(
-                f"{len(spec.devices)} device specs for "
-                f"{len(spec.region_names)} regions"
-            )
-        device_specs = spec.devices
-    regions = tuple(
-        RegionSpec(
-            name=name,
-            devices=None if dev is None else parse_region_devices(dev),
-        )
-        for name, dev in zip(spec.region_names, device_specs)
-    )
-    return ScenarioSpec(
-        regions=regions,
-        application=spec.application,
-        scheme=spec.scheme,
-        fidelity=spec.fidelity,
-        seed=spec.seed,
-        n_gpus=spec.n_gpus,
-        lambda_weight=spec.lambda_weight,
-        duration_h=spec.duration_h,
-        net_latency_ms=spec.net_latency_ms,
-        routing=RoutingSpec(
-            router=spec.router,
-            lookahead_h=spec.lookahead_h,
-            forecaster=spec.forecaster,
-            efficiency_weighted=spec.efficiency_weighted,
-        ),
-        demand=DemandSpec(
-            # The scale only sizes a demand model; legacy specs carried
-            # the default even for constant-demand runs.
-            kind=spec.demand,
-            scale=spec.demand_scale if spec.demand is not None else 0.8,
-            ramp_share_per_h=spec.ramp_share_per_h,
-            drain_share_per_h=spec.drain_share_per_h,
-        ),
-        gating=GatingSpec(
-            mode=spec.gating,
-            # Legacy semantics: the wake-energy override only applied
-            # when gating was on.
-            wake_energy_j=(
-                spec.wake_energy_j if spec.gating is not None else None
-            ),
-        ),
-    )
 
 
 @dataclass
@@ -240,15 +100,6 @@ class ExperimentRunner:
         result = Scenario(spec).run()
         self._scenario_cache[spec] = result
         return result
-
-    def run_fleet(self, spec: FleetSpec):
-        """Legacy shim: convert ``spec`` and run it through the scenario path.
-
-        Kept for pre-scenario callers; the conversion
-        (:func:`scenario_from_fleet_spec`) is golden-tested to reproduce
-        the historical execution bit for bit.
-        """
-        return self.run_scenario(scenario_from_fleet_spec(spec))
 
     def run_matrix(
         self,

@@ -365,10 +365,22 @@ class ServiceController:
         return self._deployed
 
     def n_epochs(self, duration_h: float) -> int:
-        """How many control epochs a run of ``duration_h`` hours spans."""
+        """How many control epochs a run of ``duration_h`` hours spans.
+
+        The duration must be a whole number of epochs (to a relative
+        1e-9): a run that silently simulated a rounded horizon would
+        report a duration it never covered.
+        """
         if duration_h <= 0:
             raise ValueError(f"duration must be positive, got {duration_h}")
-        return max(1, int(round(duration_h * 3600.0 / self.step_s)))
+        epochs = duration_h * 3600.0 / self.step_s
+        n = round(epochs)
+        if n < 1 or abs(epochs - n) > 1e-9 * epochs:
+            raise ValueError(
+                f"duration {duration_h:g} h is not a whole number of "
+                f"{self.step_s / 60.0:g}-minute epochs"
+            )
+        return n
 
     def begin_run(self) -> RunResult:
         """Start a fresh run: empty result, no deployed configuration."""

@@ -21,8 +21,10 @@ Quickstart::
     model.rates(t_h=20.0)       # per-origin req/s at hour 20 of the run
     model.total_rate(t_h=20.0)  # the fleet's global rate that epoch
 
-The fleet coordinator accepts a demand model directly; see
-:meth:`repro.fleet.FleetCoordinator.create`.
+A fleet runs under a demand model when its scenario names a demand
+kind (``DemandSpec(kind="diurnal")``); :class:`repro.scenarios.Scenario`
+then builds the model over the default origins, sized against the fleet's
+nominal rate, together with its origin→region latency matrix.
 """
 
 from repro.demand.diurnal import (

@@ -25,16 +25,26 @@ deployed configuration's marginal joules/request on the region's own
 silicon), and gated pools always sleep their least-efficient awake device
 first.  An all-A100 fleet keeps the pre-heterogeneity path bit for bit.
 
-Quickstart::
+A fleet is described by a :class:`~repro.scenarios.ScenarioSpec` and
+assembled by :class:`~repro.scenarios.Scenario` — the one place regions,
+router, demand and gating become built objects:
 
-    from repro.fleet import FleetCoordinator, default_fleet_regions
-
-    fleet = FleetCoordinator.create(
-        default_fleet_regions(n_gpus=4), router="carbon-greedy",
-        fidelity="smoke", seed=0, gating="reactive",
-    )
-    report = fleet.run(duration_h=24.0)
-    print(report.total_carbon_g, report.mean_awake_fraction)
+>>> from repro.scenarios import GatingSpec, RegionSpec, RoutingSpec
+>>> from repro.scenarios import Scenario, ScenarioSpec
+>>> spec = ScenarioSpec(
+...     regions=tuple(
+...         RegionSpec(name=n) for n in ("us-ciso", "uk-eso", "nordic-hydro")
+...     ),
+...     routing=RoutingSpec(router="carbon-greedy"),
+...     gating=GatingSpec(mode="reactive"),
+...     n_gpus=2, fidelity="smoke", seed=0,
+... )
+>>> fleet = Scenario(spec).build()
+>>> report = fleet.run(duration_h=3.0)
+>>> report.total_carbon_g > 0 and 0.0 < report.mean_awake_fraction <= 1.0
+True
+>>> sum(report.request_shares.values()) > 0.999
+True
 """
 
 from repro.fleet.capacity import (
@@ -45,7 +55,6 @@ from repro.fleet.capacity import (
     make_gating_policy,
 )
 from repro.fleet.coordinator import (
-    DEFAULT_DEMAND_SCALE,
     DEFAULT_FLOOR_SHARE,
     FleetCoordinator,
     FleetResult,
@@ -90,7 +99,6 @@ __all__ = [
     "FleetResult",
     "share_evaluator_caches",
     "DEFAULT_FLOOR_SHARE",
-    "DEFAULT_DEMAND_SCALE",
     "GatingPolicy",
     "CapacityManager",
     "CapacityDecision",

@@ -1,12 +1,11 @@
 """Scenario: validate a ScenarioSpec, assemble the fleet, run it.
 
-The one place spec fields turn into built objects.  Everything the legacy
-``ExperimentRunner.run_fleet`` used to assemble inline — region registry
-lookups, device pools, router construction (with the intensity-only
-ablation), gating policies, per-region schemes — happens here, through the
-same factory calls, so a spec converted from a legacy ``FleetSpec`` builds
-the *identical* coordinator and reproduces its results bit for bit (golden
-tested).
+The one place spec fields turn into built objects: region registry
+lookups, device pools, the router (with its lookahead horizon and the
+intensity-only ablation), the demand model and its origin→region latency
+matrix, one :class:`~repro.fleet.RegionalService` per region, evaluator
+cache pooling, gating policies and the batch class.  Nothing else in the
+package assembles a fleet, so the spec is the whole description of a run.
 
 >>> from repro.scenarios import RegionSpec, ScenarioSpec
 >>> spec = ScenarioSpec(
@@ -23,13 +22,22 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.core.service import FidelityProfile
+from repro.demand import (
+    default_demand,
+    default_latency_matrix,
+    default_origins,
+)
 from repro.fleet import (
     FleetCoordinator,
     FleetResult,
+    RegionalService,
     make_gating_policy,
     make_router,
     region_by_name,
+    share_evaluator_caches,
 )
+from repro.models.perf import PerfModel
+from repro.models.zoo import default_zoo
 from repro.scenarios.spec import ScenarioSpec
 from repro.shifting import BatchJobClass
 
@@ -39,10 +47,17 @@ __all__ = ["Scenario", "build_coordinator", "execute_spec"]
 def build_coordinator(spec: ScenarioSpec) -> FleetCoordinator:
     """Assemble the :class:`FleetCoordinator` a spec describes.
 
-    Pure construction — no simulation runs.  Raises ``KeyError`` /
-    ``ValueError`` with registry listings on anything the spec-level
-    validation could not see (e.g. a device tuple whose length disagrees
-    with the region's GPU count).
+    Pure construction — no simulation runs.  Region ``i`` gets root seed
+    ``spec.seed + i``, so region 0 of an N=1 fleet reproduces the
+    standalone service at the same seed exactly.  With a demand kind, the
+    demand model spreads ``spec.demand.scale`` x the fleet's nominal rate
+    over the default origins, and each region's SLA baseline is tightened
+    by its *nearest-origin* hop — the resident users the datacenter is
+    provisioned for; every farther origin's extra hop is charged per
+    (origin, region) cell at routing time and again when attainment is
+    judged.  Raises ``KeyError`` / ``ValueError`` with registry listings
+    on anything the spec-level validation could not see (e.g. a device
+    tuple whose length disagrees with the region's GPU count).
     """
     regions = tuple(
         region_by_name(
@@ -80,32 +95,67 @@ def build_coordinator(spec: ScenarioSpec) -> FleetCoordinator:
         }
         batch = BatchJobClass(jobs_per_h=spec.batch.jobs_per_h, **overrides)
 
-    router = spec.routing.router
+    fidelity = FidelityProfile.by_name(spec.fidelity)
+    # One zoo and one performance oracle for the whole fleet: evaluator
+    # cache pooling only merges regions pricing the same objects.
+    zoo = default_zoo()
+    perf = PerfModel()
+    # Spec validation already restricted both knobs to the routers that
+    # carry them (the lookahead horizon, the efficiency term).
+    router_options = {}
     if not spec.routing.efficiency_weighted:
-        # Spec validation already restricted this to the rankings that
-        # carry the energy term.
-        router = make_router(router, efficiency_weighted=False)
+        router_options["efficiency_weighted"] = False
+    if spec.routing.lookahead_h is not None:
+        router_options["lookahead_h"] = spec.routing.lookahead_h
+    router = make_router(spec.routing.router, **router_options)
 
-    schemes = spec.region_schemes
-    scheme = schemes[0] if len(set(schemes)) == 1 else schemes
+    latency_matrix = None
+    if spec.demand.kind is not None:
+        origins = default_origins()
+        latency_matrix = default_latency_matrix(origins, regions)
+        regions = tuple(
+            replace(region, net_latency_ms=float(lat))
+            for region, lat in zip(
+                regions, latency_matrix.nearest_origin_latency()
+            )
+        )
 
-    return FleetCoordinator.create(
-        regions,
-        application=spec.application,
-        scheme=scheme,
-        router=router,
-        lambda_weight=spec.lambda_weight,
-        fidelity=FidelityProfile.by_name(spec.fidelity),
-        seed=spec.seed,
-        demand=spec.demand.kind,
-        demand_scale=spec.demand.scale,
+    services = [
+        RegionalService.create(
+            region=region,
+            application=spec.application,
+            scheme=scheme,
+            lambda_weight=spec.lambda_weight,
+            fidelity=fidelity,
+            seed=spec.seed + i,
+            zoo=zoo,
+            perf=perf,
+        )
+        for i, (region, scheme) in enumerate(zip(regions, spec.region_schemes))
+    ]
+    if spec.shared_cache:
+        share_evaluator_caches(services)
+
+    demand = None
+    if spec.demand.kind is not None:
+        # At scale 1.0 the mean is *exactly* the nominal global rate
+        # (1.0 * x == x in IEEE): the bit-for-bit anchor.
+        mean_rate = spec.demand.scale * float(
+            sum(s.nominal_rate_per_s for s in services)
+        )
+        demand = default_demand(
+            mean_rate, kind=spec.demand.kind, origins=origins
+        )
+    return FleetCoordinator(
+        services,
+        router,
+        demand=demand,
+        latency_matrix=latency_matrix,
         ramp_share_per_h=spec.demand.ramp_share_per_h,
         drain_share_per_h=spec.demand.drain_share_per_h,
-        lookahead_h=spec.routing.lookahead_h,
         forecaster=spec.routing.forecaster,
         gating=gating,
         batch=batch,
-        share_caches=spec.shared_cache,
     )
 
 

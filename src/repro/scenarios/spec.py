@@ -1,22 +1,23 @@
 """ScenarioSpec: one declarative, serializable description per experiment.
 
 Four PRs of fleet features each grew the harness a new hand-written
-experiment function, another ``FleetSpec`` field and another CLI flag —
-scenario diversity was costing quadratic glue.  This module replaces that
-accretion with one composable value type: a :class:`ScenarioSpec` is the
-*entire* description of a fleet experiment — topology, per-region devices
-**and schemes**, demand model, routing policy, gating policy, fidelity and
-seed — as plain frozen dataclasses of plain data.  Everything downstream
+experiment function, another flat fleet-description field and another
+CLI flag — scenario diversity was costing quadratic glue.  This module
+replaces that accretion with one composable value type: a
+:class:`ScenarioSpec` is the *entire* description of a fleet experiment —
+topology, per-region devices **and schemes**, demand model, routing
+policy, gating policy, fidelity and seed — as plain frozen dataclasses of
+plain data.  Everything downstream
 (the :class:`~repro.scenarios.scenario.Scenario` executor, the sweep
 expander, the TOML/JSON serializers, the experiment registry and both CLI
 front doors) consumes this one type, so a new scenario axis is a new spec
 field instead of a new fork of the harness.
 
-Specs are hashable (they memoize runs), comparable (legacy shims are
-tested to build byte-equal specs) and strict: every field is validated at
-construction against the same registries the fleet layer uses, so a typo
-fails at spec time with the valid choices in the message, not three layers
-deep in assembly.
+Specs are hashable (they memoize runs), comparable (the experiment
+registry and the ``fleet`` CLI are tested to build byte-equal specs) and
+strict: every field is validated at construction against the same
+registries the fleet layer uses, so a typo fails at spec time with the
+valid choices in the message, not three layers deep in assembly.
 
 >>> spec = ScenarioSpec(
 ...     regions=(
@@ -69,6 +70,10 @@ DEMAND_KINDS = ("constant", "diurnal")
 #: Routers whose ranking carries the efficiency term (the only ones the
 #: ``efficiency_weighted=False`` ablation applies to).
 EFFICIENCY_ROUTERS = ("carbon-greedy", "forecast-aware")
+
+#: Routers that look ahead over a forecast horizon (the only ones
+#: ``lookahead_h`` applies to).
+LOOKAHEAD_ROUTERS = ("forecast-aware",)
 
 
 def _choice(label: str, value: str, valid: tuple[str, ...]) -> str:
@@ -134,8 +139,10 @@ class DemandSpec:
     ``kind=None`` is the constant PR-1 workload (the fleet's nominal
     sizing); ``"diurnal"`` switches to nonstationary geo-origin demand
     with per-(origin, region) SLA charging.  ``scale`` sizes the demand
-    model's mean against the fleet's nominal rate; the ramp/drain shares
-    bound per-hour traffic migration (``None`` = unconstrained).
+    model's mean against the fleet's nominal rate (the 0.8 default
+    provisions headroom over *mean* demand, so the diurnal peak stays
+    within the fleet's capacity envelope); the ramp/drain shares bound
+    per-hour traffic migration (``None`` = unconstrained).
     """
 
     kind: str | None = None
@@ -178,10 +185,16 @@ class RoutingSpec:
     def __post_init__(self) -> None:
         _choice("router", self.router, ROUTER_NAMES)
         _choice("forecaster", self.forecaster, FORECASTER_NAMES)
-        if self.lookahead_h is not None and self.lookahead_h < 0.0:
-            raise ValueError(
-                f"lookahead must be non-negative, got {self.lookahead_h}"
-            )
+        if self.lookahead_h is not None:
+            if self.lookahead_h < 0.0:
+                raise ValueError(
+                    f"lookahead must be non-negative, got {self.lookahead_h}"
+                )
+            if self.router not in LOOKAHEAD_ROUTERS:
+                raise ValueError(
+                    f"router {self.router!r} takes no lookahead horizon "
+                    f"(lookahead_h applies to: {', '.join(LOOKAHEAD_ROUTERS)})"
+                )
         if not self.efficiency_weighted and self.router not in EFFICIENCY_ROUTERS:
             raise ValueError(
                 f"router {self.router!r} has no intensity-only variant "

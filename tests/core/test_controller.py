@@ -10,6 +10,7 @@ from repro.core.controller import ServiceController
 from repro.core.evaluator import ConfigEvaluator
 from repro.core.objective import ObjectiveSpec
 from repro.core.schemes import make_scheme
+from repro.core.service import FidelityProfile
 from repro.serving.sla import SlaPolicy
 from repro.serving.workload import default_rate
 from repro.utils.rng import RngMixer
@@ -143,6 +144,30 @@ class TestEpochAccounting:
         controller = build_controller(parts, "base", flat_trace())
         with pytest.raises(ValueError):
             controller.run(0.0)
+
+    @pytest.mark.parametrize(
+        "fidelity, duration_h",
+        [("smoke", 0.01), ("smoke", 1.5), ("default", 0.25)],
+    )
+    def test_partial_epoch_duration_rejected(self, parts, fidelity, duration_h):
+        """Regression: a duration that is not a whole number of epochs
+        used to round silently (0.01 h at smoke fidelity simulated and
+        reported a full hour)."""
+        step_minutes = FidelityProfile.by_name(fidelity).step_minutes
+        controller = build_controller(
+            parts, "base", flat_trace(), step_s=step_minutes * 60.0
+        )
+        message = f"whole number of {step_minutes:g}-minute epochs"
+        with pytest.raises(ValueError, match=message):
+            controller.n_epochs(duration_h)
+        with pytest.raises(ValueError, match=message):
+            controller.run(duration_h)
+
+    def test_whole_epoch_durations_tolerate_float_noise(self, parts):
+        controller = build_controller(parts, "base", flat_trace(), step_s=600.0)
+        assert controller.n_epochs(0.5) == 3
+        assert controller.n_epochs(7 * (1 / 6)) == 7  # 7 epochs, inexact
+        assert controller.n_epochs(24.0) == 144
 
     def test_invalid_step(self, parts):
         with pytest.raises(ValueError):

@@ -1,20 +1,30 @@
 """FleetCoordinator: N=1 seed equivalence, conservation, routing wins."""
 
-import numpy as np
 import pytest
+from conftest import fleet_from_parts
 
 from repro.carbon.traces import ciso_march_48h
 from repro.core.service import CarbonAwareInferenceService
-from repro.fleet import (
-    FleetCoordinator,
-    Region,
-    StaticRouter,
-    default_fleet_regions,
-    region_by_name,
-)
+from repro.fleet import FleetCoordinator, Region, StaticRouter
+from repro.scenarios import RegionSpec, RoutingSpec, Scenario, ScenarioSpec
 
 #: Small clusters + smoke fidelity keep the fleet tests in CI budget.
 GPUS = 2
+
+
+def fleet(regions, router="static", scheme="base", seed=0, **fields):
+    """A smoke-fidelity spec fleet over registry regions."""
+    return Scenario(
+        ScenarioSpec(
+            regions=tuple(RegionSpec(name=n) for n in regions),
+            scheme=scheme,
+            routing=RoutingSpec(router=router),
+            fidelity="smoke",
+            seed=seed,
+            n_gpus=GPUS,
+            **fields,
+        )
+    ).build()
 
 
 def solo_region(net_latency_ms=0.0):
@@ -33,14 +43,10 @@ def three_region_runs():
     """static vs carbon-greedy on the default 3-region fleet (24 h)."""
     out = {}
     for router in ("static", "carbon-greedy"):
-        fleet = FleetCoordinator.create(
-            default_fleet_regions(n_gpus=GPUS),
-            scheme="clover",
-            router=router,
-            fidelity="smoke",
-            seed=0,
+        coord = fleet(
+            ("us-ciso", "uk-eso", "nordic-hydro"), router, scheme="clover"
         )
-        out[router] = (fleet, fleet.run(duration_h=24.0))
+        out[router] = (coord, coord.run(duration_h=24.0))
     return out
 
 
@@ -49,15 +55,8 @@ class TestSingleRegionEquivalence:
     def test_static_n1_reproduces_seed_service_exactly(self, scheme):
         """The acceptance bar: one region + static router == the seed
         CarbonAwareInferenceService.run, bit for bit."""
-        fleet = FleetCoordinator.create(
-            [solo_region()],
-            application="classification",
-            scheme=scheme,
-            router="static",
-            fidelity="smoke",
-            seed=7,
-        )
-        fleet_result = fleet.run(duration_h=6.0)
+        coord = fleet_from_parts([solo_region()], scheme=scheme, seed=7)
+        fleet_result = coord.run(duration_h=6.0)
 
         service = CarbonAwareInferenceService.create(
             application="classification",
@@ -81,11 +80,8 @@ class TestSingleRegionEquivalence:
             assert fe.config_label == se.config_label
 
     def test_n1_default_duration_is_trace_span(self):
-        fleet = FleetCoordinator.create(
-            [solo_region()], scheme="base", router="static",
-            fidelity="smoke", seed=0,
-        )
-        assert fleet.run().duration_h == pytest.approx(48.0)
+        coord = fleet_from_parts([solo_region()])
+        assert coord.run().duration_h == pytest.approx(48.0)
 
 
 class TestConservation:
@@ -124,24 +120,15 @@ class TestCapacityAndSla:
                 assert e.rate_per_s >= floor * (1 - 1e-9)
 
     def test_remote_region_sla_tightened_by_network_latency(self):
-        near = FleetCoordinator.create(
-            [solo_region(net_latency_ms=0.0)], scheme="base",
-            router="static", fidelity="smoke", seed=0,
-        )
-        far = FleetCoordinator.create(
-            [solo_region(net_latency_ms=15.0)], scheme="base",
-            router="static", fidelity="smoke", seed=0,
-        )
+        near = fleet(("us-ciso",), net_latency_ms=0.0)
+        far = fleet(("us-ciso",), net_latency_ms=15.0)
         near_sla = near.services[0].sla_target_ms
         far_sla = far.services[0].sla_target_ms
         assert far_sla == pytest.approx(near_sla - 15.0)
 
     def test_unreachable_region_rejected(self):
         with pytest.raises(ValueError, match="never"):
-            FleetCoordinator.create(
-                [solo_region(net_latency_ms=10_000.0)], scheme="base",
-                router="static", fidelity="smoke", seed=0,
-            )
+            fleet(("us-ciso",), net_latency_ms=10_000.0)
 
 
 class TestLoadShiftingWins:
@@ -204,28 +191,18 @@ class TestFleetResult:
 class TestValidation:
     def test_duplicate_region_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            FleetCoordinator.create(
-                [solo_region(), solo_region()], scheme="base",
-                router="static", fidelity="smoke", seed=0,
-            )
+            fleet_from_parts([solo_region(), solo_region()])
 
     def test_empty_fleet_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             FleetCoordinator([], StaticRouter())
 
     def test_region_seeds_differ(self):
-        fleet = FleetCoordinator.create(
-            [region_by_name("us-ciso", n_gpus=GPUS),
-             region_by_name("uk-eso", n_gpus=GPUS)],
-            scheme="base", router="static", fidelity="smoke", seed=3,
-        )
-        seeds = {s.service.controller.measure_evaluator.seed for s in fleet.services}
+        coord = fleet(("us-ciso", "uk-eso"), seed=3)
+        seeds = {s.service.controller.measure_evaluator.seed for s in coord.services}
         assert len(seeds) == 2
 
     def test_zero_floor_share_rejected(self):
         """A zero floor could route a zero rate (undefined measurement)."""
         with pytest.raises(ValueError, match="floor share"):
-            FleetCoordinator.create(
-                [solo_region()], scheme="base", router="static",
-                fidelity="smoke", seed=0, floor_share=0.0,
-            )
+            fleet_from_parts([solo_region()], floor_share=0.0)

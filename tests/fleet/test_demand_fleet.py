@@ -11,6 +11,7 @@ The acceptance bar of the demand subsystem:
 
 import numpy as np
 import pytest
+from conftest import fleet_from_parts
 
 from repro.carbon.traces import ciso_march_48h
 from repro.core.service import CarbonAwareInferenceService
@@ -18,66 +19,78 @@ from repro.demand import (
     DiurnalDemandModel,
     GeoOrigin,
     LatencyMatrix,
+    default_demand,
+    default_latency_matrix,
     default_origins,
 )
-from repro.fleet import FleetCoordinator, Region, region_by_name
+from repro.fleet import Region, region_by_name
+from repro.scenarios import (
+    DemandSpec,
+    RegionSpec,
+    RoutingSpec,
+    Scenario,
+    ScenarioSpec,
+)
 
 GPUS = 2
 DEMAND_REGIONS = ("us-ciso", "uk-eso", "apac-solar")
 RAMP, DRAIN, LOOKAHEAD = 0.10, 0.20, 6.0
 
 
-def demand_fleet(router, **kwargs):
-    regions = tuple(region_by_name(n, n_gpus=GPUS) for n in DEMAND_REGIONS)
-    return FleetCoordinator.create(
-        regions,
-        application="classification",
-        scheme="clover",
-        router=router,
+def demand_spec(router, lookahead_h=None, regions=DEMAND_REGIONS):
+    return ScenarioSpec(
+        regions=tuple(RegionSpec(name=n) for n in regions),
         fidelity="smoke",
-        seed=0,
-        demand="diurnal",
-        ramp_share_per_h=RAMP,
-        drain_share_per_h=DRAIN,
-        **kwargs,
+        n_gpus=GPUS,
+        routing=RoutingSpec(router=router, lookahead_h=lookahead_h),
+        demand=DemandSpec(
+            kind="diurnal", ramp_share_per_h=RAMP, drain_share_per_h=DRAIN
+        ),
     )
+
+
+def demand_fleet(router, lookahead_h=None):
+    return Scenario(demand_spec(router, lookahead_h)).build()
 
 
 @pytest.fixture(scope="module")
 def demand_runs():
     """static vs carbon-greedy vs forecast-aware over 48 h of demand."""
     out = {}
-    for router, kw in (
-        ("static", {}),
-        ("carbon-greedy", {}),
-        ("forecast-aware", dict(lookahead_h=LOOKAHEAD)),
+    for router, lookahead_h in (
+        ("static", None),
+        ("carbon-greedy", None),
+        ("forecast-aware", LOOKAHEAD),
     ):
-        fleet = demand_fleet(router, **kw)
+        fleet = demand_fleet(router, lookahead_h)
         out[router] = (fleet, fleet.run(duration_h=48.0))
     return out
+
+
+def solo_constant_fleet(scheme, seed):
+    """One co-located origin at zero network cost, demand at the nominal
+    rate: the degenerate demand fleet that must equal the seed service."""
+    region = Region(
+        name="solo", trace=ciso_march_48h(), pue=1.5,
+        net_latency_ms=0.0, n_gpus=GPUS,
+    )
+    origins = (GeoOrigin("local", 1.0, 0.0, "na"),)
+    return fleet_from_parts(
+        [region],
+        scheme=scheme,
+        seed=seed,
+        demand=lambda rate: default_demand(
+            rate, kind="constant", origins=origins
+        ),
+        latency_matrix=LatencyMatrix(("local",), ("solo",), np.zeros((1, 1))),
+    )
 
 
 class TestConstantDemandSeedEquivalence:
     def test_n1_constant_demand_is_bit_for_bit_seed(self):
         """One co-located origin, zero network, constant demand at the
         nominal rate: the fleet path IS the seed service, exactly."""
-        region = Region(
-            name="solo", trace=ciso_march_48h(), pue=1.5,
-            net_latency_ms=0.0, n_gpus=GPUS,
-        )
-        fleet = FleetCoordinator.create(
-            [region],
-            application="classification",
-            scheme="clover",
-            router="static",
-            fidelity="smoke",
-            seed=7,
-            demand="constant",
-            origins=(GeoOrigin("local", 1.0, 0.0, "na"),),
-            latency_matrix=LatencyMatrix(("local",), ("solo",), np.zeros((1, 1))),
-            demand_scale=1.0,
-        )
-        fleet_result = fleet.run(duration_h=6.0)
+        fleet_result = solo_constant_fleet("clover", seed=7).run(duration_h=6.0)
 
         service = CarbonAwareInferenceService.create(
             application="classification", scheme="clover",
@@ -96,18 +109,7 @@ class TestConstantDemandSeedEquivalence:
             assert fe.config_label == se.config_label
 
     def test_n1_constant_demand_reports_demand_views(self):
-        region = Region(
-            name="solo", trace=ciso_march_48h(), pue=1.5,
-            net_latency_ms=0.0, n_gpus=GPUS,
-        )
-        fleet = FleetCoordinator.create(
-            [region], scheme="base", router="static", fidelity="smoke",
-            seed=0, demand="constant",
-            origins=(GeoOrigin("local", 1.0, 0.0, "na"),),
-            latency_matrix=LatencyMatrix(("local",), ("solo",), np.zeros((1, 1))),
-            demand_scale=1.0,
-        )
-        result = fleet.run(duration_h=3.0)
+        result = solo_constant_fleet("base", seed=0).run(duration_h=3.0)
         assert result.has_demand
         assert result.origin_request_shares == {"local": pytest.approx(1.0)}
         assert result.mean_net_latency_ms == pytest.approx(0.0)
@@ -242,11 +244,11 @@ class TestDemandReporting:
         assert len(headers) == len(rows[0])
 
     def test_demand_views_rejected_without_demand(self):
-        fleet = FleetCoordinator.create(
-            [region_by_name("us-ciso", n_gpus=GPUS)],
-            scheme="base", router="static", fidelity="smoke", seed=0,
+        spec = ScenarioSpec(
+            regions=(RegionSpec(name="us-ciso"),), scheme="base",
+            fidelity="smoke", n_gpus=GPUS, duration_h=2.0,
         )
-        result = fleet.run(duration_h=2.0)
+        result = Scenario(spec).run()
         assert not result.has_demand
         with pytest.raises(ValueError, match="demand"):
             _ = result.origin_request_shares
@@ -257,16 +259,11 @@ class TestKeepAlive:
         """Two regions in one zone: the one that is nobody's nearest
         origin must still be planned a keep-alive rate every epoch (a
         zero-rate region has no defined service measurement)."""
-        regions = tuple(
-            region_by_name(n, n_gpus=GPUS)
-            for n in ("us-ciso", "uk-eso", "nordic-hydro")  # two eu zones
+        spec = demand_spec(
+            "forecast-aware", LOOKAHEAD,
+            regions=("us-ciso", "uk-eso", "nordic-hydro"),  # two eu zones
         )
-        fleet = FleetCoordinator.create(
-            regions, router="forecast-aware", fidelity="smoke", seed=0,
-            demand="diurnal", ramp_share_per_h=RAMP, drain_share_per_h=DRAIN,
-            lookahead_h=LOOKAHEAD,
-        )
-        result = fleet.run(duration_h=6.0)
+        result = Scenario(spec).build().run(duration_h=6.0)
         for run in result.results:
             for e in run.epochs:
                 assert e.rate_per_s > 0.0
@@ -277,12 +274,28 @@ class TestKeepAlive:
         a shared instance routes identically to a fresh one."""
         from repro.fleet import ForecastAwareRouter
 
+        regions = tuple(region_by_name(n, n_gpus=GPUS) for n in DEMAND_REGIONS)
+        origins = default_origins()
+
+        def fleet(router):
+            return fleet_from_parts(
+                regions,
+                router,
+                scheme="clover",
+                demand=lambda rate: default_demand(
+                    0.8 * rate, kind="diurnal", origins=origins
+                ),
+                latency_matrix=default_latency_matrix(origins, regions),
+                ramp_share_per_h=RAMP,
+                drain_share_per_h=DRAIN,
+            )
+
         shared = ForecastAwareRouter(lookahead_h=LOOKAHEAD)
-        demand_fleet(shared).run(duration_h=6.0)
-        reused = demand_fleet(shared).run(duration_h=6.0)
-        fresh = demand_fleet(
-            ForecastAwareRouter(lookahead_h=LOOKAHEAD)
-        ).run(duration_h=6.0)
+        fleet(shared).run(duration_h=6.0)
+        reused = fleet(shared).run(duration_h=6.0)
+        fresh = fleet(ForecastAwareRouter(lookahead_h=LOOKAHEAD)).run(
+            duration_h=6.0
+        )
         assert reused.total_carbon_g == fresh.total_carbon_g
         assert reused.total_requests == fresh.total_requests
 
@@ -297,30 +310,22 @@ class TestValidation:
             ("someone-else",), ("us-ciso",), np.zeros((1, 1))
         )
         with pytest.raises(ValueError, match="origins"):
-            FleetCoordinator.create(
-                [region], router="static", fidelity="smoke",
-                demand=model, latency_matrix=bad_matrix,
-            )
+            fleet_from_parts([region], demand=model, latency_matrix=bad_matrix)
 
     def test_unknown_demand_kind_rejected(self):
-        region = region_by_name("us-ciso", n_gpus=GPUS)
         with pytest.raises(ValueError, match="demand kind"):
-            FleetCoordinator.create(
-                [region], router="static", fidelity="smoke", demand="chaotic",
-            )
+            DemandSpec(kind="chaotic")
 
     def test_lookahead_on_nonforecast_router_rejected(self):
-        region = region_by_name("us-ciso", n_gpus=GPUS)
         with pytest.raises(ValueError, match="lookahead"):
-            FleetCoordinator.create(
-                [region], router="static", fidelity="smoke",
-                demand="diurnal", lookahead_h=4.0,
-            )
+            RoutingSpec(router="static", lookahead_h=4.0)
 
     def test_bad_ramp_rejected(self):
+        with pytest.raises(ValueError, match="ramp"):
+            DemandSpec(kind="diurnal", ramp_share_per_h=-0.1)
+
+    def test_coordinator_rejects_bad_ramp(self):
+        """Hand-built coordinators get the same guard as specs."""
         region = region_by_name("us-ciso", n_gpus=GPUS)
         with pytest.raises(ValueError, match="ramp"):
-            FleetCoordinator.create(
-                [region], router="static", fidelity="smoke",
-                demand="diurnal", ramp_share_per_h=-0.1,
-            )
+            fleet_from_parts([region], ramp_share_per_h=-0.1)

@@ -9,28 +9,42 @@ on effective gCO2/request and gate their least-efficient silicon first.
 import numpy as np
 import pytest
 
-from repro.analysis.runner import ExperimentRunner, FleetSpec
+from repro.analysis.runner import ExperimentRunner
 from repro.fleet import (
     CapacityManager,
-    FleetCoordinator,
     GatingPolicy,
-    make_gating_policy,
     region_by_name,
 )
 from repro.fleet.regional import RegionalService
 from repro.fleet.routing import CarbonGreedyRouter, RoutingContext, make_router
+from repro.gpu.profiles import parse_region_devices
+from repro.scenarios import (
+    DemandSpec,
+    GatingSpec,
+    RegionSpec,
+    RoutingSpec,
+    Scenario,
+    ScenarioSpec,
+)
 
 GPUS = 2
 
 
-def small_fleet(devices, router="carbon-greedy", seed=0, **kwargs):
-    regions = tuple(
-        region_by_name(name, n_gpus=GPUS, devices=dev)
-        for name, dev in (("us-ciso", devices[0]), ("uk-eso", devices[1]))
+def small_fleet(devices, router="carbon-greedy", efficiency_weighted=True,
+                **fields):
+    spec = ScenarioSpec(
+        regions=tuple(
+            RegionSpec(name=name, devices=dev)
+            for name, dev in zip(("us-ciso", "uk-eso"), devices)
+        ),
+        fidelity="smoke",
+        n_gpus=GPUS,
+        routing=RoutingSpec(
+            router=router, efficiency_weighted=efficiency_weighted
+        ),
+        **fields,
     )
-    return FleetCoordinator.create(
-        regions, router=router, fidelity="smoke", seed=seed, **kwargs
-    )
+    return Scenario(spec).build()
 
 
 class TestHomogeneousBitForBit:
@@ -117,22 +131,15 @@ class TestEfficiencyAwareRouting:
     def test_mixed_fleet_efficiency_beats_intensity_under_gating(self):
         """The tentpole's routing claim at test scale: strictly lower
         carbon at equal-or-better SLA on a mixed A100/L4 fleet."""
-        policy = make_gating_policy("reactive", wake_energy_j=1000.0)
         kwargs = dict(
-            gating=policy,
-            demand="diurnal",
-            ramp_share_per_h=0.10,
-            drain_share_per_h=0.20,
+            gating=GatingSpec(mode="reactive", wake_energy_j=1000.0),
+            demand=DemandSpec(
+                kind="diurnal", ramp_share_per_h=0.10, drain_share_per_h=0.20
+            ),
         )
-        eff = small_fleet(
-            ("a100", "l4"),
-            router=make_router("carbon-greedy", efficiency_weighted=True),
-            **kwargs,
-        ).run(duration_h=24.0)
+        eff = small_fleet(("a100", "l4"), **kwargs).run(duration_h=24.0)
         intensity = small_fleet(
-            ("a100", "l4"),
-            router=make_router("carbon-greedy", efficiency_weighted=False),
-            **kwargs,
+            ("a100", "l4"), efficiency_weighted=False, **kwargs
         ).run(duration_h=24.0)
         assert eff.total_carbon_g < intensity.total_carbon_g
         assert eff.user_sla_attainment >= intensity.user_sla_attainment - 1e-12
@@ -237,7 +244,7 @@ class TestHeterogeneousCapacityManager:
         make a gated L4 fleet unassemblable; the profile defaults fit
         each board's own static ceiling, so the mixed fleet gates out of
         the box with no override."""
-        fleet = small_fleet(("a100", "l4"), gating="reactive")
+        fleet = small_fleet(("a100", "l4"), gating=GatingSpec(mode="reactive"))
         assert fleet.gating is not None
         assert fleet.gating.wake_energy_j is None  # per-device defaults
 
@@ -245,68 +252,58 @@ class TestHeterogeneousCapacityManager:
         """The gated-never-out-spends-always-on invariant is enforced
         against the leanest device: an L4 region with an explicit
         A100-sized 2 kJ wake energy must be rejected loudly."""
-        from repro.fleet import make_gating_policy
-
         with pytest.raises(ValueError, match="wake energy"):
             small_fleet(
                 ("a100", "l4"),
-                gating=make_gating_policy("reactive", wake_energy_j=2000.0),
+                gating=GatingSpec(mode="reactive", wake_energy_j=2000.0),
             )
 
 
-class TestFleetSpecDevices:
+class TestSpecDevices:
     def test_runner_threads_devices_and_efficiency_flag(self):
         runner = ExperimentRunner()
-        spec = FleetSpec(
-            region_names=("us-ciso", "uk-eso"),
-            router="carbon-greedy",
+        spec = ScenarioSpec(
+            regions=(
+                RegionSpec(name="us-ciso", devices="a100"),
+                RegionSpec(name="uk-eso", devices="l4"),
+            ),
+            routing=RoutingSpec(router="carbon-greedy"),
             fidelity="smoke",
             n_gpus=2,
             duration_h=3.0,
-            devices=("a100", "l4"),
         )
-        result = runner.run_fleet(spec)
+        result = runner.run_scenario(spec)
         assert result.regions[0].devices is None or result.regions[0].devices
         assert result.regions[1].device_pool().names == ("l4", "l4")
         # The intensity-only ablation is a distinct memo entry.
-        ablation = runner.run_fleet(
-            spec.__class__(**{**spec.__dict__, "efficiency_weighted": False})
+        ablation = runner.run_scenario(
+            spec.override("routing.efficiency_weighted", False)
         )
-        assert ablation is not runner.run_fleet(spec)
+        assert ablation is not runner.run_scenario(spec)
 
     def test_mixed_pool_spec_string(self):
-        runner = ExperimentRunner()
-        spec = FleetSpec(
-            region_names=("us-ciso",),
-            router="static",
+        spec = ScenarioSpec(
+            regions=(
+                RegionSpec(
+                    name="us-ciso", devices=parse_region_devices("a100:1,l4:1")
+                ),
+            ),
             fidelity="smoke",
             n_gpus=2,
             duration_h=2.0,
-            devices=("a100:1,l4:1",),
         )
-        result = runner.run_fleet(spec)
+        result = ExperimentRunner().run_scenario(spec)
         assert result.regions[0].device_pool().names == ("l4", "a100")
 
     def test_intensity_only_static_rejected(self):
-        runner = ExperimentRunner()
         with pytest.raises(ValueError, match="intensity-only"):
-            runner.run_fleet(
-                FleetSpec(
-                    region_names=("us-ciso",),
-                    router="static",
-                    fidelity="smoke",
-                    n_gpus=2,
-                    efficiency_weighted=False,
-                )
-            )
+            RoutingSpec(router="static", efficiency_weighted=False)
 
     def test_device_count_mismatch_rejected(self):
-        runner = ExperimentRunner()
-        with pytest.raises(ValueError, match="device specs"):
-            runner.run_fleet(
-                FleetSpec(
-                    region_names=("us-ciso", "uk-eso"),
-                    fidelity="smoke",
-                    devices=("a100",),
-                )
-            )
+        spec = ScenarioSpec(
+            regions=(RegionSpec(name="us-ciso", devices=("a100",)),),
+            fidelity="smoke",
+            n_gpus=2,
+        )
+        with pytest.raises(ValueError, match="1 device entries"):
+            Scenario(spec).build()

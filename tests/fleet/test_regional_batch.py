@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.fleet.coordinator import FleetCoordinator
 from repro.fleet.regional import (
     PRE_DEPLOYMENT_BUDGET_SLACK_MS,
     RegionalService,
 )
 from repro.fleet.regions import region_by_name
+from repro.scenarios import RegionSpec, Scenario, ScenarioSpec
 
 
 @pytest.fixture(scope="module")
@@ -19,10 +19,10 @@ def fresh_service():
 
 @pytest.fixture(scope="module")
 def deployed_service():
-    region = region_by_name("us-ciso", n_gpus=2)
-    fleet = FleetCoordinator.create(
-        [region], scheme="clover", router="static", fidelity="smoke", seed=0
+    spec = ScenarioSpec(
+        regions=(RegionSpec(name="us-ciso"),), fidelity="smoke", n_gpus=2
     )
+    fleet = Scenario(spec).build()
     fleet.run(duration_h=2.0)
     svc = fleet.services[0]
     assert svc.controller.deployed is not None

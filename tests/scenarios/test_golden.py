@@ -1,173 +1,131 @@
-"""Golden tests: the ScenarioSpec path reproduces the legacy path bit for bit.
+"""Golden tests: the ScenarioSpec path keeps the legacy path's numbers.
 
 Two layers of protection against redesign drift:
 
-* **Execution** — ``legacy_run_fleet`` below is a verbatim replica of the
-  pre-scenario ``ExperimentRunner.run_fleet`` assembly (direct registry
-  lookups, no cache pooling).  For one representative ``FleetSpec`` per
-  legacy experiment family (``fig16``/``fleet``/``demand``/``gating``/
-  ``hetero``) the scenario path must reproduce its results exactly —
-  ``==``, not ``approx`` — which also proves cross-region cache pooling
-  changes no number.
-* **Spec mapping** — the experiment entries must build exactly the specs
-  :func:`scenario_from_fleet_spec` derives from their historical
-  ``FleetSpec`` parameters, so the registry entries, the ``fleet`` CLI
-  shim and standalone scenario files can never diverge.
+* **Execution** — ``golden_fleet.json`` holds the results the legacy
+  keyword-argument assembly path produced, before the scenario builder
+  became the only assembly path, for one representative spec per
+  experiment family (``fig16``/``fleet``/``demand``/``gating``/
+  ``hetero``): totals, per-region per-epoch p95/energy/requests, user
+  SLA attainment and the awake-GPU series.  The scenario path must
+  reproduce them.  On the host that recorded them the match is exact;
+  the ``rel=1e-9`` tolerance only absorbs libm/SIMD differences between
+  hosts.
+* **Spec mapping** — the experiment entries must build exactly the
+  literal specs below, so the registry entries, the ``fleet`` CLI and
+  standalone scenario files can never diverge.
 """
 
-from dataclasses import replace as dc_replace
+import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.analysis.runner import ExperimentRunner, FleetSpec, scenario_from_fleet_spec
-from repro.core.service import FidelityProfile
-from repro.fleet import FleetCoordinator, make_gating_policy, region_by_name
-from repro.fleet.routing import make_router
-from repro.gpu.profiles import parse_region_devices
+from repro.analysis.runner import ExperimentRunner
 from repro.scenarios import (
     DemandSpec,
     GatingSpec,
     RegionSpec,
     RoutingSpec,
+    Scenario,
     ScenarioSpec,
 )
 
+GOLDEN = json.loads(Path(__file__).with_name("golden_fleet.json").read_text())
 
-def legacy_run_fleet(spec: FleetSpec):
-    """Verbatim replica of the pre-scenario ``run_fleet`` assembly."""
-    device_specs: tuple
-    if spec.devices is None or isinstance(spec.devices, str):
-        device_specs = (spec.devices,) * len(spec.region_names)
-    else:
-        device_specs = spec.devices
-    regions = tuple(
-        region_by_name(
-            name,
-            n_gpus=spec.n_gpus,
-            devices=None if dev is None else parse_region_devices(dev),
-        )
-        for name, dev in zip(spec.region_names, device_specs)
-    )
-    if spec.net_latency_ms is not None:
-        regions = tuple(
-            dc_replace(r, net_latency_ms=spec.net_latency_ms) for r in regions
-        )
-    gating = spec.gating
-    if gating is not None and spec.wake_energy_j is not None:
-        gating = make_gating_policy(gating, wake_energy_j=spec.wake_energy_j)
-    router = spec.router
-    if not spec.efficiency_weighted:
-        router = make_router(spec.router, efficiency_weighted=False)
-    fleet = FleetCoordinator.create(
-        regions,
-        application=spec.application,
-        scheme=spec.scheme,
-        router=router,
-        lambda_weight=spec.lambda_weight,
-        fidelity=FidelityProfile.by_name(spec.fidelity),
-        seed=spec.seed,
-        demand=spec.demand,
-        demand_scale=spec.demand_scale,
-        ramp_share_per_h=spec.ramp_share_per_h,
-        drain_share_per_h=spec.drain_share_per_h,
-        lookahead_h=spec.lookahead_h,
-        forecaster=spec.forecaster,
-        gating=gating,
-    )
-    return fleet.run(duration_h=spec.duration_h)
+DIURNAL = DemandSpec(
+    kind="diurnal", ramp_share_per_h=0.10, drain_share_per_h=0.20
+)
+DEMAND_REGIONS = tuple(
+    RegionSpec(name=n) for n in ("us-ciso", "uk-eso", "apac-solar")
+)
+FLEET_REGIONS = tuple(
+    RegionSpec(name=n) for n in ("us-ciso", "uk-eso", "nordic-hydro")
+)
 
-
-#: One representative FleetSpec per legacy experiment family (smoke
-#: fidelity, short horizons — the *construction* is what is under test).
+#: One representative spec per experiment family (smoke fidelity, short
+#: horizons — the *construction* is what is under test).
 GOLDEN_SPECS = {
-    "fig16": FleetSpec(
-        region_names=("us-ciso",),
-        application="classification",
-        scheme="clover",
-        router="static",
+    "fig16": ScenarioSpec(
+        regions=(RegionSpec(name="us-ciso"),),
         fidelity="smoke",
-        seed=0,
+        duration_h=6.0,
         net_latency_ms=0.0,
-        duration_h=6.0,
     ),
-    "fleet": FleetSpec(
-        region_names=("us-ciso", "uk-eso", "nordic-hydro"),
-        router="carbon-greedy",
+    "fleet": ScenarioSpec(
+        regions=FLEET_REGIONS,
         fidelity="smoke",
-        seed=0,
         n_gpus=2,
         duration_h=6.0,
+        routing=RoutingSpec(router="carbon-greedy"),
     ),
-    "demand": FleetSpec(
-        region_names=("us-ciso", "uk-eso", "apac-solar"),
-        router="forecast-aware",
+    "demand": ScenarioSpec(
+        regions=DEMAND_REGIONS,
         fidelity="smoke",
-        seed=0,
         n_gpus=2,
         duration_h=6.0,
-        demand="diurnal",
-        ramp_share_per_h=0.10,
-        drain_share_per_h=0.20,
-        lookahead_h=6.0,
+        routing=RoutingSpec(router="forecast-aware", lookahead_h=6.0),
+        demand=DIURNAL,
     ),
-    "gating": FleetSpec(
-        region_names=("us-ciso", "uk-eso", "apac-solar"),
-        router="carbon-greedy",
+    "gating": ScenarioSpec(
+        regions=DEMAND_REGIONS,
         fidelity="smoke",
-        seed=0,
         n_gpus=2,
         duration_h=6.0,
-        demand="diurnal",
-        ramp_share_per_h=0.10,
-        drain_share_per_h=0.20,
-        gating="reactive",
+        routing=RoutingSpec(router="carbon-greedy"),
+        demand=DIURNAL,
+        gating=GatingSpec(mode="reactive"),
     ),
-    "hetero": FleetSpec(
-        region_names=("us-ciso", "apac-solar"),
-        router="carbon-greedy",
+    "hetero": ScenarioSpec(
+        regions=(
+            RegionSpec(name="us-ciso", devices="a100"),
+            RegionSpec(name="apac-solar", devices="l4"),
+        ),
         fidelity="smoke",
-        seed=0,
         n_gpus=2,
         duration_h=6.0,
-        demand="diurnal",
-        ramp_share_per_h=0.10,
-        drain_share_per_h=0.20,
-        gating="reactive",
-        wake_energy_j=1000.0,
-        devices=("a100", "l4"),
-        efficiency_weighted=True,
+        routing=RoutingSpec(router="carbon-greedy"),
+        demand=DIURNAL,
+        gating=GatingSpec(mode="reactive", wake_energy_j=1000.0),
     ),
 }
 
 
+def close(value):
+    return pytest.approx(value, rel=1e-9, nan_ok=True)
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
 def test_scenario_path_is_bit_for_bit_the_legacy_path(name):
-    spec = GOLDEN_SPECS[name]
-    legacy = legacy_run_fleet(spec)
-    modern = ExperimentRunner().run_fleet(spec)  # shim -> scenario path
-    assert modern.total_requests == legacy.total_requests
-    assert modern.total_energy_j == legacy.total_energy_j
-    assert modern.total_carbon_g == legacy.total_carbon_g
-    assert modern.mean_accuracy == legacy.mean_accuracy
-    assert modern.sla_attainment == legacy.sla_attainment
-    assert modern.router_name == legacy.router_name
-    assert modern.scheme_name == legacy.scheme_name
-    for new_r, old_r in zip(modern.results, legacy.results):
-        assert [e.p95_ms for e in new_r.epochs] == [
-            e.p95_ms for e in old_r.epochs
-        ]
-        assert [e.energy_j for e in new_r.epochs] == [
-            e.energy_j for e in old_r.epochs
-        ]
-        assert [e.requests for e in new_r.epochs] == [
-            e.requests for e in old_r.epochs
-        ]
-    if legacy.has_demand:
-        assert modern.user_sla_attainment == legacy.user_sla_attainment
-    if legacy.has_gating:
-        assert (
-            modern.awake_gpu_series() == legacy.awake_gpu_series()
-        ).all()
+    expected = GOLDEN[name]
+    result = Scenario(GOLDEN_SPECS[name]).run()
+    assert result.router_name == expected["router_name"]
+    assert result.scheme_name == expected["scheme_name"]
+    for total in (
+        "total_requests",
+        "total_energy_j",
+        "total_carbon_g",
+        "mean_accuracy",
+        "sla_attainment",
+    ):
+        assert getattr(result, total) == close(expected[total]), total
+    assert {r.name for r in result.regions} == set(expected["regions"])
+    for region, run in zip(result.regions, result.results):
+        for field in ("p95_ms", "energy_j", "requests"):
+            assert [getattr(e, field) for e in run.epochs] == close(
+                expected["regions"][region.name][field]
+            ), (region.name, field)
+    assert result.has_demand == ("user_sla_attainment" in expected)
+    if result.has_demand:
+        assert result.user_sla_attainment == close(
+            expected["user_sla_attainment"]
+        )
+    assert result.has_gating == ("awake_gpu_series" in expected)
+    if result.has_gating:
+        assert result.awake_gpu_series() == close(
+            np.array(expected["awake_gpu_series"])
+        )
 
 
 class RecordingRunner(ExperimentRunner):
@@ -183,7 +141,7 @@ class RecordingRunner(ExperimentRunner):
 
 
 class TestExperimentsBuildTheShimSpecs:
-    """Each legacy experiment's scenarios == the FleetSpec conversions."""
+    """Each experiment runs exactly the specs its legacy shim produced."""
 
     def test_fig16(self):
         from repro.analysis.experiments import fig16_geographic
@@ -197,16 +155,13 @@ class TestExperimentsBuildTheShimSpecs:
             trace_names=("ciso-march",),
         )
         expected = [
-            scenario_from_fleet_spec(
-                FleetSpec(
-                    region_names=("us-ciso",),
-                    application="classification",
-                    scheme=scheme,
-                    router="static",
-                    fidelity="smoke",
-                    seed=0,
-                    net_latency_ms=0.0,
-                )
+            ScenarioSpec(
+                regions=(RegionSpec(name="us-ciso"),),
+                application="classification",
+                scheme=scheme,
+                fidelity="smoke",
+                seed=0,
+                net_latency_ms=0.0,
             )
             for scheme in ("base", "clover")
         ]
@@ -225,17 +180,14 @@ class TestExperimentsBuildTheShimSpecs:
             routers=("static", "carbon-greedy"),
         )
         expected = [
-            scenario_from_fleet_spec(
-                FleetSpec(
-                    region_names=("us-ciso", "uk-eso", "nordic-hydro"),
-                    application="classification",
-                    scheme="clover",
-                    router=r,
-                    fidelity="smoke",
-                    seed=0,
-                    n_gpus=2,
-                    duration_h=3.0,
-                )
+            ScenarioSpec(
+                regions=FLEET_REGIONS,
+                scheme="clover",
+                fidelity="smoke",
+                seed=0,
+                n_gpus=2,
+                duration_h=3.0,
+                routing=RoutingSpec(router=r),
             )
             for r in ("static", "carbon-greedy")
         ]
@@ -254,23 +206,26 @@ class TestExperimentsBuildTheShimSpecs:
             routers=("static", "forecast-aware"),
         )
         expected = [
-            scenario_from_fleet_spec(
-                FleetSpec(
-                    region_names=("us-ciso", "uk-eso", "apac-solar"),
-                    application="classification",
-                    scheme="clover",
-                    router=r,
-                    fidelity="smoke",
-                    seed=0,
-                    n_gpus=2,
-                    duration_h=3.0,
-                    demand="diurnal",
-                    ramp_share_per_h=0.10,
-                    drain_share_per_h=0.20,
-                    lookahead_h=(6.0 if r == "forecast-aware" else None),
-                )
-            )
-            for r in ("static", "forecast-aware")
+            ScenarioSpec(
+                regions=DEMAND_REGIONS,
+                scheme="clover",
+                fidelity="smoke",
+                seed=0,
+                n_gpus=2,
+                duration_h=3.0,
+                routing=RoutingSpec(router="static"),
+                demand=DIURNAL,
+            ),
+            ScenarioSpec(
+                regions=DEMAND_REGIONS,
+                scheme="clover",
+                fidelity="smoke",
+                seed=0,
+                n_gpus=2,
+                duration_h=3.0,
+                routing=RoutingSpec(router="forecast-aware", lookahead_h=6.0),
+                demand=DIURNAL,
+            ),
         ]
         assert runner.specs == expected
 
@@ -282,22 +237,19 @@ class TestExperimentsBuildTheShimSpecs:
             runner, fidelity="smoke", seed=0, n_gpus=2, duration_h=3.0
         )
         expected = [
-            scenario_from_fleet_spec(
-                FleetSpec(
-                    region_names=("us-ciso", "uk-eso", "apac-solar"),
-                    application="classification",
-                    scheme="clover",
+            ScenarioSpec(
+                regions=DEMAND_REGIONS,
+                scheme="clover",
+                fidelity="smoke",
+                seed=0,
+                n_gpus=2,
+                duration_h=3.0,
+                routing=RoutingSpec(
                     router=router,
-                    fidelity="smoke",
-                    seed=0,
-                    n_gpus=2,
-                    duration_h=3.0,
-                    demand="diurnal",
-                    ramp_share_per_h=0.10,
-                    drain_share_per_h=0.20,
                     lookahead_h=(6.0 if needs_lookahead else None),
-                    gating=gating,
-                )
+                ),
+                demand=DIURNAL,
+                gating=GatingSpec(mode=gating),
             )
             for _, router, gating, needs_lookahead in GATING_ROWS
         ]
@@ -315,26 +267,27 @@ class TestExperimentsBuildTheShimSpecs:
         hetero_fleet(
             runner, fidelity="smoke", seed=0, n_gpus=2, duration_h=3.0
         )
+        regions = tuple(
+            RegionSpec(name=region.name, devices=devices)
+            for region, devices in zip(DEMAND_REGIONS, HETERO_DEVICES)
+        )
         expected = [
-            scenario_from_fleet_spec(
-                FleetSpec(
-                    region_names=("us-ciso", "uk-eso", "apac-solar"),
-                    application="classification",
-                    scheme="clover",
+            ScenarioSpec(
+                regions=regions,
+                scheme="clover",
+                fidelity="smoke",
+                seed=0,
+                n_gpus=2,
+                duration_h=3.0,
+                routing=RoutingSpec(
                     router=router,
-                    fidelity="smoke",
-                    seed=0,
-                    n_gpus=2,
-                    duration_h=3.0,
-                    demand="diurnal",
-                    ramp_share_per_h=0.10,
-                    drain_share_per_h=0.20,
                     lookahead_h=(6.0 if needs_lookahead else None),
-                    gating="reactive",
-                    wake_energy_j=HETERO_WAKE_ENERGY_J,
-                    devices=HETERO_DEVICES,
                     efficiency_weighted=efficiency,
-                )
+                ),
+                demand=DIURNAL,
+                gating=GatingSpec(
+                    mode="reactive", wake_energy_j=HETERO_WAKE_ENERGY_J
+                ),
             )
             for _, router, efficiency, needs_lookahead in HETERO_ROWS
         ]

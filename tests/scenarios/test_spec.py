@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.fleet import ROUTER_NAMES
 from repro.scenarios import (
     BatchSpec,
     DemandSpec,
@@ -115,9 +116,32 @@ class TestValidation:
         with pytest.raises(ValueError, match="intensity-only"):
             RoutingSpec(router="static", efficiency_weighted=False)
 
+    @pytest.mark.parametrize("router", ROUTER_NAMES)
+    def test_lookahead_only_on_forecasting_routers(self, router):
+        """A horizon on a router that never looks ahead is rejected when
+        the spec is made or loaded, not later inside a sweep worker."""
+        text = (
+            '[[regions]]\nname = "us-ciso"\n\n'
+            f'[routing]\nrouter = "{router}"\nlookahead_h = 4.0\n'
+        )
+        if router == "forecast-aware":
+            assert RoutingSpec(router=router, lookahead_h=4.0).lookahead_h == 4.0
+            assert spec_from_toml(text).routing.lookahead_h == 4.0
+            return
+        message = f"router {router!r} takes no lookahead horizon"
+        with pytest.raises(ValueError, match=message):
+            RoutingSpec(router=router, lookahead_h=4.0)
+        with pytest.raises(ValueError, match=message):
+            spec_from_toml(text)
+
     def test_wake_energy_needs_gating_mode(self):
         with pytest.raises(ValueError, match="gating mode"):
             GatingSpec(wake_energy_j=100.0)
+
+    @pytest.mark.parametrize("scale", [0.0, -0.5, 1.5])
+    def test_demand_scale_range(self, scale):
+        with pytest.raises(ValueError, match=r"demand scale must be in \(0, 1\]"):
+            DemandSpec(kind="diurnal", scale=scale)
 
     def test_demand_scale_needs_demand_kind(self):
         with pytest.raises(ValueError, match="demand kind"):
