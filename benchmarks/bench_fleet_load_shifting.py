@@ -20,21 +20,21 @@ def test_fleet_load_shifting(benchmark, runner):
     print()
     print(render(result, title="Fleet — routing-policy comparison (3 regions)"))
 
-    static = result.total_carbon_g["static"]
-    greedy = result.total_carbon_g["carbon-greedy"]
+    static = result["static"].total_carbon_g
+    greedy = result["carbon-greedy"].total_carbon_g
     assert greedy < static
-    assert result.carbon_save_vs_static_pct["carbon-greedy"] > 1.0
+    assert result.saving_pct("carbon-greedy", vs="static") > 1.0
     assert (
-        result.sla_attainment["carbon-greedy"]
-        >= result.sla_attainment["static"]
+        result["carbon-greedy"].sla_attainment
+        >= result["static"].sla_attainment
     )
     # The shift is real: the clean region carries more than its static share
     # (at smoke fidelity the coarse epochs can leave the shares tied).
     if strict():
         assert (
-            result.request_shares["carbon-greedy"]["nordic-hydro"]
-            > result.request_shares["static"]["nordic-hydro"]
+            result["carbon-greedy"].request_shares["nordic-hydro"]
+            > result["static"].request_shares["nordic-hydro"]
         )
     # Accuracy stays in the paper's loss band despite the routing.
-    for router in result.routers:
-        assert result.accuracy_loss_pct[router] < 5.5
+    for router in result.labels:
+        assert result[router].accuracy_loss_pct < 5.5

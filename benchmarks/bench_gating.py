@@ -25,29 +25,31 @@ def test_gating_elasticity(benchmark, runner):
     )
     print()
     print(render(result, title="Gating — elastic capacity comparison"))
+    on_gap = result.saving_pct("always-on/greedy", vs="always-on/static")
+    gated_gap = result.saving_pct("reactive/greedy", vs="reactive/static")
+    growth = gated_gap / on_gap if on_gap > 0 else float("inf")
     print(
-        f"\ncarbon-greedy-vs-static gap: {result.always_on_gap_pct:.2f}% "
-        f"always-on -> {result.gated_gap_pct:.2f}% gated "
-        f"({result.gap_growth:.1f}x)"
+        f"\ncarbon-greedy-vs-static gap: {on_gap:.2f}% "
+        f"always-on -> {gated_gap:.2f}% gated ({growth:.1f}x)"
     )
 
-    carbon = result.total_carbon_g
-    sla = result.user_sla_attainment
+    carbon = {k: result[k].total_carbon_g for k in result.labels}
+    sla = {k: result[k].user_sla_attainment for k in result.labels}
 
     # The tentpole acceptance: gating multiplies the routing gap >= 2x.
-    assert result.always_on_gap_pct > 0.0
-    assert result.gated_gap_pct >= 2.0 * result.always_on_gap_pct
+    assert on_gap > 0.0
+    assert gated_gap >= 2.0 * on_gap
 
     # Gating never spends more energy than always-on, router by router.
-    energy = result.total_energy_j
+    energy = {k: result[k].total_energy_j for k in result.labels}
     assert energy["reactive/static"] <= energy["always-on/static"] * (1 + 1e-9)
     assert energy["reactive/greedy"] <= energy["always-on/greedy"] * (1 + 1e-9)
 
     # Idle power genuinely followed traffic for the carbon-aware policies.
-    assert result.mean_awake_fraction["reactive/greedy"] < 1.0
-    assert result.mean_awake_fraction["prewake/forecast"] < 1.0
+    assert result["reactive/greedy"].mean_awake_fraction < 1.0
+    assert result["prewake/forecast"].mean_awake_fraction < 1.0
     # ... but the static split had nothing to gate.
-    assert result.mean_awake_fraction["reactive/static"] == 1.0
+    assert result["reactive/static"].mean_awake_fraction == 1.0
 
     # Forecast pre-wake beats reactive gating: user SLA no worse, carbon
     # no higher, and at least one of the two strictly better.
@@ -60,4 +62,4 @@ def test_gating_elasticity(benchmark, runner):
 
     # Accuracy stays in the paper's loss band despite the gating.
     for label in result.labels:
-        assert result.accuracy_loss_pct[label] < 5.5
+        assert result[label].accuracy_loss_pct < 5.5

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 
+from repro.analysis import Comparison, render
 from repro.analysis.reporting import format_table
 from repro.scenarios import (
     DemandSpec,
@@ -93,18 +94,12 @@ def main() -> None:
     print(format_table(headers, rows, title="-- who served whom (forecast-aware) --"))
     print()
 
-    static = runs["static"]
-    for label in ("carbon-greedy", "forecast-aware"):
-        r = runs[label]
-        save = (1.0 - r.total_carbon_g / static.total_carbon_g) * 100.0
-        print(
-            f"{label:15s} carbon {r.total_carbon_g:8,.0f} g "
-            f"({save:+.2f}% vs static) | user SLA "
-            f"{100 * r.user_sla_attainment:.2f}% vs "
-            f"{100 * static.user_sla_attainment:.2f}% | mean hop "
-            f"{r.mean_net_latency_ms:.1f} ms vs "
-            f"{static.mean_net_latency_ms:.1f} ms"
-        )
+    summary = Comparison(
+        runs,
+        columns=("Carbon(g)", "SaveVsStatic%", "UserSLA%", "Net(ms)"),
+        label_header="Router",
+    )
+    print(render(summary, title="-- routers side by side --"))
     print()
     print("Reading the tables: the static geo-DNS split serves every origin")
     print("a third everywhere and eats APAC's coal evenings; the carbon")

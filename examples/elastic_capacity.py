@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro.analysis.reporting import format_table
+from repro.analysis import Comparison, render
 from repro.scenarios import (
     DemandSpec,
     GatingSpec,
@@ -70,33 +70,25 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    runs = {
-        "always-on static": run_fleet("static", args),
-        "always-on greedy": run_fleet("carbon-greedy", args),
-        "reactive greedy": run_fleet("carbon-greedy", args, gating="reactive"),
-        "prewake forecast": run_fleet(
-            "forecast-aware", args, gating="forecast",
-            lookahead_h=args.lookahead_h,
-        ),
-    }
-
-    headers = ("Run", "Carbon(g)", "Energy(kWh)", "AwakeGPU%", "UserSLA%")
-    rows = [
-        (
-            label,
-            f"{r.total_carbon_g:,.0f}",
-            f"{r.total_energy_j / 3.6e6:.2f}",
-            f"{100 * r.mean_awake_fraction:.1f}",
-            f"{100 * r.user_sla_attainment:.2f}",
-        )
-        for label, r in runs.items()
-    ]
-    print(format_table(headers, rows, title="-- elastic capacity --"))
+    runs = Comparison(
+        {
+            "always-on static": run_fleet("static", args),
+            "always-on greedy": run_fleet("carbon-greedy", args),
+            "reactive greedy": run_fleet(
+                "carbon-greedy", args, gating="reactive"
+            ),
+            "prewake forecast": run_fleet(
+                "forecast-aware", args, gating="forecast",
+                lookahead_h=args.lookahead_h,
+            ),
+        },
+        columns=("Carbon(g)", "Energy(kWh)", "AwakeGPU%", "UserSLA%"),
+    )
+    print(render(runs, title="-- elastic capacity --"))
     print()
 
-    static = runs["always-on static"].total_carbon_g
-    on_gap = (1.0 - runs["always-on greedy"].total_carbon_g / static) * 100.0
-    gated_gap = (1.0 - runs["reactive greedy"].total_carbon_g / static) * 100.0
+    on_gap = runs.saving_pct("always-on greedy", vs="always-on static")
+    gated_gap = runs.saving_pct("reactive greedy", vs="always-on static")
     print(f"carbon-greedy saves {on_gap:.2f}% over static while always-on,")
     print(f"and {gated_gap:.2f}% once sleeping GPUs stop paying idle power.")
     print()

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro.analysis.reporting import format_table
+from repro.analysis import Comparison, render
 from repro.scenarios import (
     DemandSpec,
     GatingSpec,
@@ -81,30 +81,21 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    runs = {
-        "static": run_fleet(args, router="static"),
-        "intensity-only greedy": run_fleet(args, efficiency_weighted=False),
-        "efficiency-aware greedy": run_fleet(args, efficiency_weighted=True),
-    }
-
-    headers = ("Run", "Carbon(g)", "Energy(kWh)", "AwakeGPU%", "UserSLA%")
-    rows = [
-        (
-            label,
-            f"{r.total_carbon_g:,.0f}",
-            f"{r.total_energy_j / 3.6e6:.2f}",
-            f"{100 * r.mean_awake_fraction:.1f}",
-            f"{100 * r.user_sla_attainment:.2f}",
-        )
-        for label, r in runs.items()
-    ]
+    runs = Comparison(
+        {
+            "static": run_fleet(args, router="static"),
+            "intensity-only greedy": run_fleet(args, efficiency_weighted=False),
+            "efficiency-aware greedy": run_fleet(args, efficiency_weighted=True),
+        },
+        columns=("Carbon(g)", "Energy(kWh)", "AwakeGPU%", "UserSLA%"),
+    )
     mixes = ", ".join(f"{name}={dev}" for name, dev in FLEET)
-    print(format_table(headers, rows, title=f"-- heterogeneous fleet ({mixes}) --"))
+    print(render(runs, title=f"-- heterogeneous fleet ({mixes}) --"))
     print()
 
-    intensity = runs["intensity-only greedy"].total_carbon_g
-    efficiency = runs["efficiency-aware greedy"].total_carbon_g
-    gain = (1.0 - efficiency / intensity) * 100.0
+    gain = runs.saving_pct(
+        "efficiency-aware greedy", vs="intensity-only greedy"
+    )
     print(f"pricing the silicon into the ranking saves {gain:.2f}% fleet carbon")
     print("over the intensity-only ranking on the identical fleet.")
     print()

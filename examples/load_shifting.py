@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import argparse
 
-from repro.analysis.reporting import format_table
+from repro.analysis import Comparison, render
 from repro.scenarios import (
     BatchSpec,
     DemandSpec,
-    GatingSpec,
     RegionSpec,
     RoutingSpec,
     Scenario,
@@ -80,40 +79,25 @@ def main() -> None:
     args = parser.parse_args()
 
     spec = base_spec(args)
-    runs = {
-        "admit-on-arrival": Scenario(
-            spec.override("batch.defer", False)
-        ).run(),
-        "deferred": Scenario(spec).run(),
-        "deferred+gating": Scenario(
-            spec.override("gating.mode", "reactive")
-        ).run(),
-    }
-
-    headers = (
-        "Run", "Carbon(g)", "SLA%", "BatchReq", "OnTime%", "Shift(h)",
-        "Awake%",
+    runs = Comparison(
+        {
+            "admit-on-arrival": Scenario(
+                spec.override("batch.defer", False)
+            ).run(),
+            "deferred": Scenario(spec).run(),
+            "deferred+gating": Scenario(
+                spec.override("gating.mode", "reactive")
+            ).run(),
+        },
+        columns=(
+            "Carbon(g)", "SLA%", "BatchReq", "BatchOnTime%", "Shift(h)",
+            "Awake%",
+        ),
     )
-    rows = []
-    for label, r in runs.items():
-        att = r.batch_deadline_attainment
-        rows.append(
-            (
-                label,
-                f"{r.total_carbon_g:,.0f}",
-                f"{100 * r.sla_attainment:.1f}",
-                f"{r.batch_completed_requests:,.0f}",
-                f"{100 * att:.1f}" if att == att else "-",
-                f"{r.mean_shift_h:.2f}",
-                f"{100 * r.mean_awake_fraction:.1f}",
-            )
-        )
-    print(format_table(headers, rows, title="-- temporal load shifting --"))
+    print(render(runs, title="-- temporal load shifting --"))
     print()
 
-    arrival = runs["admit-on-arrival"].total_carbon_g
-    deferred = runs["deferred"].total_carbon_g
-    saving = (1.0 - deferred / arrival) * 100.0
+    saving = runs.saving_pct("deferred", vs="admit-on-arrival")
     print(f"deferring the same batch saves {saving:.2f}% fleet carbon")
     print("without missing a deadline or an interactive SLA target.")
     print()

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 
+from repro.analysis import Comparison, render
 from repro.analysis.reporting import format_table
 from repro.scenarios import RegionSpec, RoutingSpec, Scenario, ScenarioSpec
 
@@ -63,17 +64,12 @@ def main() -> None:
         print(format_table(headers, rows, title=f"-- router: {label} --"))
         print()
 
-    save_pct = (
-        1.0 - challenger.total_carbon_g / static.total_carbon_g
-    ) * 100.0
-    print(f"{args.router} vs static over {challenger.duration_h:.0f} h:")
-    print(f"  carbon: {challenger.total_carbon_g:,.0f} g vs "
-          f"{static.total_carbon_g:,.0f} g ({save_pct:+.2f}% saved)")
-    print(f"  SLA attainment: {100 * challenger.sla_attainment:.1f}% vs "
-          f"{100 * static.sla_attainment:.1f}% (incl. network latency)")
-    shares = challenger.request_shares
-    print("  request shares: "
-          + ", ".join(f"{k}={100 * v:.1f}%" for k, v in shares.items()))
+    summary = Comparison(
+        {"static": static, args.router: challenger},
+        columns=("Carbon(g)", "SaveVsStatic%", "SLA%", "Busiest region"),
+        label_header="Router",
+    )
+    print(render(summary, title=f"-- over {challenger.duration_h:.0f} h --"))
     print()
     print("The carbon-greedy router routes around each grid's dirty hours —")
     print("share drifts to the Nordic region except when California's solar")

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro.analysis.reporting import format_table
+from repro.analysis import Comparison, render
 from repro.scenarios import (
     RegionSpec,
     RoutingSpec,
@@ -84,45 +84,32 @@ def main() -> None:
     )
     uniform_co2opt = uniform_clover.override("scheme", "co2opt")
 
-    rows = []
-    for label, spec in (
-        ("uniform clover", uniform_clover),
-        ("mixed co2opt+clover", mixed),
-        ("uniform co2opt", uniform_co2opt),
-    ):
-        result = Scenario(spec).run()
-        rows.append(
-            (
-                label,
-                result.scheme_name,
-                f"{result.total_carbon_g:,.0f}",
-                f"{result.accuracy_loss_pct:.2f}",
-                f"{100 * result.sla_attainment:.1f}",
+    fleets = Comparison(
+        {
+            label: Scenario(spec).run()
+            for label, spec in (
+                ("uniform clover", uniform_clover),
+                ("mixed co2opt+clover", mixed),
+                ("uniform co2opt", uniform_co2opt),
             )
-        )
-    print(
-        format_table(
-            ("Fleet", "Schemes", "Carbon(g)", "AccLoss%", "SLA%"),
-            rows,
-            title="-- per-region schemes: the trade-off sandwich --",
-        )
+        },
+        columns=("Schemes", "Carbon(g)", "AccLoss%", "SLA%"),
+        label_header="Fleet",
     )
+    print(render(fleets, title="-- per-region schemes: the trade-off sandwich --"))
 
     # Sweep the router axis over the mixed fleet, optionally in parallel.
     grid = expand(mixed, {"routing.router": ["static", "carbon-greedy"]})
     results = run_sweep(grid, workers=args.workers)
+    routers = Comparison(
+        {spec.routing.router: result for spec, result in zip(grid, results)},
+        columns=("Carbon(g)", "AccLoss%"),
+        label_header="Router",
+    )
     print()
     print(
-        format_table(
-            ("Router", "Carbon(g)", "AccLoss%"),
-            [
-                (
-                    spec.routing.router,
-                    f"{result.total_carbon_g:,.0f}",
-                    f"{result.accuracy_loss_pct:.2f}",
-                )
-                for spec, result in zip(grid, results)
-            ],
+        render(
+            routers,
             title=(
                 f"-- router sweep ({len(grid)} scenarios, "
                 f"{args.workers} worker(s)) --"

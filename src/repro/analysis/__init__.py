@@ -2,6 +2,7 @@
 
 * :mod:`repro.analysis.runner` — memoized scheme x application x trace runs,
 * :mod:`repro.analysis.experiments` — one entry point per table/figure,
+* :mod:`repro.analysis.comparison` — fleet runs side by side, one renderer,
 * :mod:`repro.analysis.reporting` — ASCII tables and series sketches,
 * :mod:`repro.analysis.ablations` — design-choice ablations beyond the paper.
 """
@@ -12,6 +13,7 @@ from repro.analysis.runner import (
     RunSpec,
 )
 from repro.analysis.reporting import format_table, format_series, render
+from repro.analysis.comparison import Comparison
 from repro.analysis.export import (
     table_to_csv,
     table_to_json,
@@ -51,6 +53,7 @@ __all__ = [
     "format_table",
     "format_series",
     "render",
+    "Comparison",
     "table_to_csv",
     "table_to_json",
     "run_result_to_dict",

@@ -1,9 +1,13 @@
 """One entry point per table and figure of the Clover paper's evaluation.
 
-Every function returns a small result dataclass whose ``table()`` method
-yields ``(headers, rows)`` for ASCII rendering (see
-:mod:`repro.analysis.reporting`), and whose fields carry the raw series for
-tests and benchmarks.  The mapping to the paper:
+Every paper entry returns a small result dataclass whose ``table()``
+method yields ``(headers, rows)`` for ASCII rendering (see
+:mod:`repro.analysis.reporting`), and whose fields carry the raw series
+for tests and benchmarks.  The fleet entries (``fleet``, ``demand``,
+``gating``, ``hetero``, ``shifting``) return a
+:class:`~repro.analysis.comparison.Comparison` instead: one
+``FleetResult`` per row label, with the same ``table()``.  The mapping to
+the paper:
 
 ==========  ===========================================================
 table1      the three applications and their model variants
@@ -28,11 +32,11 @@ hetero      heterogeneous GPU fleets: efficiency-aware vs intensity routing
 shifting    temporal load shifting: deferrable batch into clean epochs
 ==========  ===========================================================
 
-``fig16``, ``fleet``, ``demand``, ``gating`` and ``hetero`` run through
-the :mod:`repro.scenarios` layer: each builds declarative
-:class:`~repro.scenarios.spec.ScenarioSpec` values — fig16 as N=1
-single-region scenarios (behavior-identical to the seed path), the rest
-as multi-region comparison grids — and executes them via
+``fig16`` and the fleet entries run through the :mod:`repro.scenarios`
+layer: each builds declarative :class:`~repro.scenarios.spec.ScenarioSpec`
+values — fig16 as N=1 single-region scenarios (behavior-identical to the
+seed path), the rest as one base spec plus one derived spec per row — and
+executes them via
 :meth:`~repro.analysis.runner.ExperimentRunner.run_scenario` (memoized by
 spec).  Every entry registers itself with the
 :func:`~repro.scenarios.registry.experiment` decorator; the CLI and docs
@@ -42,7 +46,7 @@ index render from that registry.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,7 +65,6 @@ from repro.core.evaluator import ConfigEvaluator
 from repro.core.objective import ObjectiveSpec
 from repro.core.service import PAPER_N_GPUS
 from repro.gpu.partitions import partition_by_id
-from repro.models.families import ALL_FAMILIES
 from repro.models.perf import PerfModel
 from repro.models.zoo import ModelZoo, default_zoo
 from repro.serving.sla import SlaPolicy
@@ -76,6 +79,7 @@ from repro.scenarios import (
     experiment,
     experiment_registry,
 )
+from repro.analysis.comparison import Comparison
 from repro.analysis.runner import (
     APPLICATIONS_UNDER_TEST,
     ExperimentRunner,
@@ -1052,41 +1056,17 @@ def fig16_geographic(
 # --------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True)
-class FleetLoadShiftingResult:
-    """Routing-policy comparison on one multi-region fleet."""
-
-    application: str
-    region_names: tuple[str, ...]
-    routers: tuple[str, ...]
-    total_carbon_g: dict[str, float]
-    carbon_save_vs_static_pct: dict[str, float]
-    accuracy_loss_pct: dict[str, float]
-    sla_attainment: dict[str, float]
-    request_shares: dict[str, dict[str, float]]
-    cache_hit_rate: dict[str, float]
-
-    def table(self):
-        headers = (
-            "Router", "Carbon(g)", "SaveVsStatic%", "AccLoss%", "SLA%",
-            "CacheHit%", "Busiest region",
-        )
-        rows = []
-        for r in self.routers:
-            shares = self.request_shares[r]
-            busiest = max(shares, key=shares.get)
-            rows.append(
-                (
-                    r,
-                    f"{self.total_carbon_g[r]:,.0f}",
-                    f"{self.carbon_save_vs_static_pct[r]:.2f}",
-                    f"{self.accuracy_loss_pct[r]:.2f}",
-                    f"{100 * self.sla_attainment[r]:.1f}",
-                    f"{100 * self.cache_hit_rate[r]:.1f}",
-                    f"{busiest} ({100 * shares[busiest]:.1f}%)",
-                )
-            )
-        return headers, rows
+def _compare(
+    runner: ExperimentRunner | None,
+    specs: dict[str, ScenarioSpec],
+    **table,
+) -> Comparison:
+    """Run one spec per row label; ``table`` is the comparison's layout."""
+    runner = runner or ExperimentRunner()
+    return Comparison(
+        {label: runner.run_scenario(spec) for label, spec in specs.items()},
+        **table,
+    )
 
 
 @experiment("fleet", "multi-region load shifting: routing-policy comparison")
@@ -1100,7 +1080,7 @@ def fleet_load_shifting(
     scheme: str = "clover",
     n_gpus: int = PAPER_N_GPUS,
     duration_h: float | None = None,
-) -> FleetLoadShiftingResult:
+) -> Comparison:
     """Route one global workload across three grids, one row per policy.
 
     The headline: carbon-greedy routing beats the static split on total
@@ -1108,42 +1088,25 @@ def fleet_load_shifting(
     giving up global SLA attainment, because its shift is bounded by each
     region's capacity and network-latency-aware SLA cap.
     """
-    runner = runner or ExperimentRunner()
     if "static" not in routers:
         raise ValueError("the router set must include 'static' (the baseline)")
-    results = {
-        r: runner.run_scenario(
-            ScenarioSpec(
-                regions=tuple(RegionSpec(name=n) for n in region_names),
-                application=application,
-                scheme=scheme,
-                fidelity=fidelity,
-                seed=seed,
-                n_gpus=n_gpus,
-                duration_h=duration_h,
-                routing=RoutingSpec(router=r),
-            )
-        )
-        for r in routers
-    }
-    static_carbon = results["static"].total_carbon_g
-    return FleetLoadShiftingResult(
+    base = ScenarioSpec(
+        regions=tuple(RegionSpec(name=n) for n in region_names),
         application=application,
-        region_names=region_names,
-        routers=routers,
-        total_carbon_g={r: res.total_carbon_g for r, res in results.items()},
-        carbon_save_vs_static_pct={
-            r: (1.0 - res.total_carbon_g / static_carbon) * 100.0
-            for r, res in results.items()
-        },
-        accuracy_loss_pct={
-            r: res.accuracy_loss_pct for r, res in results.items()
-        },
-        sla_attainment={r: res.sla_attainment for r, res in results.items()},
-        request_shares={r: res.request_shares for r, res in results.items()},
-        cache_hit_rate={
-            r: res.cache_stats.hit_rate for r, res in results.items()
-        },
+        scheme=scheme,
+        fidelity=fidelity,
+        seed=seed,
+        n_gpus=n_gpus,
+        duration_h=duration_h,
+    )
+    return _compare(
+        runner,
+        {r: base.override("routing.router", r) for r in routers},
+        columns=(
+            "Carbon(g)", "SaveVsStatic%", "AccLoss%", "SLA%", "CacheHit%",
+            "Busiest region",
+        ),
+        label_header="Router",
     )
 
 
@@ -1157,49 +1120,13 @@ DEMAND_RAMP_SHARE_PER_H = 0.10
 DEMAND_DRAIN_SHARE_PER_H = 0.20
 DEMAND_LOOKAHEAD_H = 6.0
 
-
-@dataclass(frozen=True)
-class DemandRoutingResult:
-    """Routing-policy comparison under geo-diurnal demand.
-
-    ``user_sla_attainment`` charges the network hop per (origin,
-    serving-region) pair against the raw end-to-end target — the
-    demand-layer metric a geo-DNS operator actually answers for.
-    """
-
-    application: str
-    region_names: tuple[str, ...]
-    origin_names: tuple[str, ...]
-    routers: tuple[str, ...]
-    total_carbon_g: dict[str, float]
-    carbon_save_vs_static_pct: dict[str, float]
-    accuracy_loss_pct: dict[str, float]
-    user_sla_attainment: dict[str, float]
-    mean_net_latency_ms: dict[str, float]
-    request_shares: dict[str, dict[str, float]]
-    origin_shares: dict[str, float]
-
-    def table(self):
-        headers = (
-            "Router", "Carbon(g)", "SaveVsStatic%", "AccLoss%",
-            "UserSLA%", "Net(ms)", "Busiest region",
-        )
-        rows = []
-        for r in self.routers:
-            shares = self.request_shares[r]
-            busiest = max(shares, key=shares.get)
-            rows.append(
-                (
-                    r,
-                    f"{self.total_carbon_g[r]:,.0f}",
-                    f"{self.carbon_save_vs_static_pct[r]:.2f}",
-                    f"{self.accuracy_loss_pct[r]:.2f}",
-                    f"{100 * self.user_sla_attainment[r]:.2f}",
-                    f"{self.mean_net_latency_ms[r]:.1f}",
-                    f"{busiest} ({100 * shares[busiest]:.1f}%)",
-                )
-            )
-        return headers, rows
+#: The diurnal workload the demand, gating, hetero and shifting
+#: experiments share.
+DIURNAL_DEMAND = DemandSpec(
+    kind="diurnal",
+    ramp_share_per_h=DEMAND_RAMP_SHARE_PER_H,
+    drain_share_per_h=DEMAND_DRAIN_SHARE_PER_H,
+)
 
 
 @experiment("demand", "geo-diurnal demand + forecast-driven proactive routing")
@@ -1214,7 +1141,7 @@ def demand_routing(
     n_gpus: int = 2,
     duration_h: float = 48.0,
     lookahead_h: float = DEMAND_LOOKAHEAD_H,
-) -> DemandRoutingResult:
+) -> Comparison:
     """The geo-diurnal demand experiment: who should serve whom, and when.
 
     The default is *small* regional clusters (2 GPUs) on purpose: the SLA
@@ -1242,56 +1169,35 @@ def demand_routing(
     fixed always-on GPU fleet (idle power dominates and does not follow
     traffic) — GPU power-gating is the ROADMAP follow-up that widens it.
     """
-    runner = runner or ExperimentRunner()
     if "static" not in routers:
         raise ValueError("the router set must include 'static' (the baseline)")
-    results = {
-        r: runner.run_scenario(
-            ScenarioSpec(
-                regions=tuple(RegionSpec(name=n) for n in region_names),
-                application=application,
-                scheme=scheme,
-                fidelity=fidelity,
-                seed=seed,
-                n_gpus=n_gpus,
-                duration_h=duration_h,
+    base = ScenarioSpec(
+        regions=tuple(RegionSpec(name=n) for n in region_names),
+        application=application,
+        scheme=scheme,
+        fidelity=fidelity,
+        seed=seed,
+        n_gpus=n_gpus,
+        duration_h=duration_h,
+        demand=DIURNAL_DEMAND,
+    )
+    return _compare(
+        runner,
+        {
+            r: replace(
+                base,
                 routing=RoutingSpec(
                     router=r,
-                    lookahead_h=(
-                        lookahead_h if r == "forecast-aware" else None
-                    ),
-                ),
-                demand=DemandSpec(
-                    kind="diurnal",
-                    ramp_share_per_h=DEMAND_RAMP_SHARE_PER_H,
-                    drain_share_per_h=DEMAND_DRAIN_SHARE_PER_H,
+                    lookahead_h=lookahead_h if r == "forecast-aware" else None,
                 ),
             )
-        )
-        for r in routers
-    }
-    static_carbon = results["static"].total_carbon_g
-    return DemandRoutingResult(
-        application=application,
-        region_names=region_names,
-        origin_names=results["static"].origin_names,
-        routers=routers,
-        total_carbon_g={r: res.total_carbon_g for r, res in results.items()},
-        carbon_save_vs_static_pct={
-            r: (1.0 - res.total_carbon_g / static_carbon) * 100.0
-            for r, res in results.items()
+            for r in routers
         },
-        accuracy_loss_pct={
-            r: res.accuracy_loss_pct for r, res in results.items()
-        },
-        user_sla_attainment={
-            r: res.user_sla_attainment for r, res in results.items()
-        },
-        mean_net_latency_ms={
-            r: res.mean_net_latency_ms for r, res in results.items()
-        },
-        request_shares={r: res.request_shares for r, res in results.items()},
-        origin_shares=results["static"].origin_request_shares,
+        columns=(
+            "Carbon(g)", "SaveVsStatic%", "AccLoss%", "UserSLA%", "Net(ms)",
+            "Busiest region",
+        ),
+        label_header="Router",
     )
 
 
@@ -1313,72 +1219,6 @@ GATING_ROWS: tuple[tuple[str, str, str | None, bool], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class GatingResult:
-    """Elastic-capacity comparison under geo-diurnal demand.
-
-    Each row is one (router, gating mode) pair; the headline properties
-    compare the carbon-greedy-vs-static gap with and without gating (the
-    gap is the shiftable margin — always-on fleets only shift dynamic
-    power, gated fleets shift the idle draw too) and reactive gating
-    against forecast-driven pre-waking.
-    """
-
-    application: str
-    region_names: tuple[str, ...]
-    labels: tuple[str, ...]
-    total_carbon_g: dict[str, float]
-    total_energy_j: dict[str, float]
-    user_sla_attainment: dict[str, float]
-    accuracy_loss_pct: dict[str, float]
-    mean_awake_fraction: dict[str, float]
-
-    @property
-    def always_on_gap_pct(self) -> float:
-        """Carbon-greedy's saving over static, both always-on (PR-2's gap)."""
-        static = self.total_carbon_g["always-on/static"]
-        greedy = self.total_carbon_g["always-on/greedy"]
-        return (1.0 - greedy / static) * 100.0
-
-    @property
-    def gated_gap_pct(self) -> float:
-        """The same gap with reactive gating enabled for both policies."""
-        static = self.total_carbon_g["reactive/static"]
-        greedy = self.total_carbon_g["reactive/greedy"]
-        return (1.0 - greedy / static) * 100.0
-
-    @property
-    def gap_growth(self) -> float:
-        """How many times gating multiplies the routing gap."""
-        base = self.always_on_gap_pct
-        return self.gated_gap_pct / base if base > 0 else float("inf")
-
-    def table(self):
-        headers = (
-            "Mode/Router", "Carbon(g)", "Energy(kWh)", "AwakeGPU%",
-            "UserSLA%", "AccLoss%",
-        )
-        rows = [
-            (
-                label,
-                f"{self.total_carbon_g[label]:,.0f}",
-                f"{self.total_energy_j[label] / 3.6e6:.2f}",
-                f"{100 * self.mean_awake_fraction[label]:.1f}",
-                f"{100 * self.user_sla_attainment[label]:.2f}",
-                f"{self.accuracy_loss_pct[label]:.2f}",
-            )
-            for label in self.labels
-        ]
-        rows.append(
-            (
-                "gap on/gated",
-                f"{self.always_on_gap_pct:.2f}% vs {self.gated_gap_pct:.2f}%",
-                "-", "-", "-", "-",
-            )
-        )
-        return headers, rows
-
-
 @experiment("gating", "elastic GPU capacity: always-on vs reactive vs pre-wake")
 def gating_elasticity(
     runner: ExperimentRunner | None = None,
@@ -1390,7 +1230,7 @@ def gating_elasticity(
     n_gpus: int = 2,
     duration_h: float = 48.0,
     lookahead_h: float = DEMAND_LOOKAHEAD_H,
-) -> GatingResult:
+) -> Comparison:
     """Elastic GPU capacity: always-on vs reactive vs forecast-pre-wake.
 
     The setup is the ``demand`` experiment's (same regions, diurnal
@@ -1410,44 +1250,36 @@ def gating_elasticity(
       from the router's lookahead window — equal-or-lower carbon (its
       policy can afford deeper sleeps) at reactive-free SLA.
     """
-    runner = runner or ExperimentRunner()
-    results = {}
-    for label, router, gating, needs_lookahead in GATING_ROWS:
-        results[label] = runner.run_scenario(
-            ScenarioSpec(
-                regions=tuple(RegionSpec(name=n) for n in region_names),
-                application=application,
-                scheme=scheme,
-                fidelity=fidelity,
-                seed=seed,
-                n_gpus=n_gpus,
-                duration_h=duration_h,
+    base = ScenarioSpec(
+        regions=tuple(RegionSpec(name=n) for n in region_names),
+        application=application,
+        scheme=scheme,
+        fidelity=fidelity,
+        seed=seed,
+        n_gpus=n_gpus,
+        duration_h=duration_h,
+        demand=DIURNAL_DEMAND,
+    )
+    comparison = _compare(
+        runner,
+        {
+            label: replace(
+                base,
                 routing=RoutingSpec(
                     router=router,
-                    lookahead_h=(lookahead_h if needs_lookahead else None),
-                ),
-                demand=DemandSpec(
-                    kind="diurnal",
-                    ramp_share_per_h=DEMAND_RAMP_SHARE_PER_H,
-                    drain_share_per_h=DEMAND_DRAIN_SHARE_PER_H,
+                    lookahead_h=lookahead_h if needs_lookahead else None,
                 ),
                 gating=GatingSpec(mode=gating),
             )
-        )
-    labels = tuple(label for label, *_ in GATING_ROWS)
-    return GatingResult(
-        application=application,
-        region_names=region_names,
-        labels=labels,
-        total_carbon_g={k: r.total_carbon_g for k, r in results.items()},
-        total_energy_j={k: r.total_energy_j for k, r in results.items()},
-        user_sla_attainment={
-            k: r.user_sla_attainment for k, r in results.items()
+            for label, router, gating, needs_lookahead in GATING_ROWS
         },
-        accuracy_loss_pct={k: r.accuracy_loss_pct for k, r in results.items()},
-        mean_awake_fraction={
-            k: r.mean_awake_fraction for k, r in results.items()
-        },
+        columns=("Carbon(g)", "Energy(kWh)", "AwakeGPU%", "UserSLA%", "AccLoss%"),
+        label_header="Mode/Router",
+    )
+    on = comparison.saving_pct("always-on/greedy", vs="always-on/static")
+    gated = comparison.saving_pct("reactive/greedy", vs="reactive/static")
+    return replace(
+        comparison, footer=("gap on/gated", f"{on:.2f}% vs {gated:.2f}%")
     )
 
 
@@ -1477,64 +1309,6 @@ HETERO_ROWS: tuple[tuple[str, str, bool, bool], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class HeteroResult:
-    """Efficiency-aware vs intensity-only routing on mixed silicon.
-
-    The headline property is :attr:`efficiency_saving_pct`: how much fleet
-    carbon efficiency-aware carbon-greedy saves over the intensity-only
-    ranking on the *same* fleet — the value of pricing silicon, not just
-    grids, into the routing decision.
-    """
-
-    application: str
-    region_names: tuple[str, ...]
-    region_devices: tuple[str, ...]
-    labels: tuple[str, ...]
-    total_carbon_g: dict[str, float]
-    total_energy_j: dict[str, float]
-    user_sla_attainment: dict[str, float]
-    accuracy_loss_pct: dict[str, float]
-    mean_awake_fraction: dict[str, float]
-    request_shares: dict[str, dict[str, float]]
-
-    @property
-    def efficiency_saving_pct(self) -> float:
-        """Carbon saved by pricing silicon into the greedy ranking."""
-        intensity = self.total_carbon_g["greedy/intensity"]
-        efficiency = self.total_carbon_g["greedy/efficiency"]
-        return (1.0 - efficiency / intensity) * 100.0
-
-    def table(self):
-        headers = (
-            "Router", "Carbon(g)", "Energy(kWh)", "AwakeGPU%",
-            "UserSLA%", "AccLoss%", "Busiest region",
-        )
-        rows = []
-        for label in self.labels:
-            shares = self.request_shares[label]
-            busiest = max(shares, key=shares.get)
-            rows.append(
-                (
-                    label,
-                    f"{self.total_carbon_g[label]:,.0f}",
-                    f"{self.total_energy_j[label] / 3.6e6:.2f}",
-                    f"{100 * self.mean_awake_fraction[label]:.1f}",
-                    f"{100 * self.user_sla_attainment[label]:.2f}",
-                    f"{self.accuracy_loss_pct[label]:.2f}",
-                    f"{busiest} ({100 * shares[busiest]:.1f}%)",
-                )
-            )
-        rows.append(
-            (
-                "efficiency gain",
-                f"{self.efficiency_saving_pct:.2f}% vs intensity-only",
-                "-", "-", "-", "-", "-",
-            )
-        )
-        return headers, rows
-
-
 @experiment("hetero", "heterogeneous GPU fleets: efficiency-aware vs intensity routing")
 def hetero_fleet(
     runner: ExperimentRunner | None = None,
@@ -1547,7 +1321,7 @@ def hetero_fleet(
     n_gpus: int = 2,
     duration_h: float = 48.0,
     lookahead_h: float = DEMAND_LOOKAHEAD_H,
-) -> HeteroResult:
+) -> Comparison:
     """Heterogeneous silicon: route by gCO2/request, not gCO2/kWh.
 
     The setup composes the ``demand`` and ``gating`` experiments (diurnal
@@ -1573,7 +1347,6 @@ def hetero_fleet(
     """
     from repro.gpu.profiles import parse_region_devices
 
-    runner = runner or ExperimentRunner()
     if len(devices) != len(region_names):
         raise ValueError(
             f"{len(devices)} device specs for {len(region_names)} regions"
@@ -1582,48 +1355,39 @@ def hetero_fleet(
         RegionSpec(name=n, devices=parse_region_devices(d))
         for n, d in zip(region_names, devices)
     )
-    results = {}
-    for label, router, efficiency, needs_lookahead in HETERO_ROWS:
-        results[label] = runner.run_scenario(
-            ScenarioSpec(
-                regions=regions,
-                application=application,
-                scheme=scheme,
-                fidelity=fidelity,
-                seed=seed,
-                n_gpus=n_gpus,
-                duration_h=duration_h,
+    base = ScenarioSpec(
+        regions=regions,
+        application=application,
+        scheme=scheme,
+        fidelity=fidelity,
+        seed=seed,
+        n_gpus=n_gpus,
+        duration_h=duration_h,
+        demand=DIURNAL_DEMAND,
+        gating=GatingSpec(mode="reactive", wake_energy_j=HETERO_WAKE_ENERGY_J),
+    )
+    comparison = _compare(
+        runner,
+        {
+            label: replace(
+                base,
                 routing=RoutingSpec(
                     router=router,
-                    lookahead_h=(lookahead_h if needs_lookahead else None),
+                    lookahead_h=lookahead_h if needs_lookahead else None,
                     efficiency_weighted=efficiency,
                 ),
-                demand=DemandSpec(
-                    kind="diurnal",
-                    ramp_share_per_h=DEMAND_RAMP_SHARE_PER_H,
-                    drain_share_per_h=DEMAND_DRAIN_SHARE_PER_H,
-                ),
-                gating=GatingSpec(
-                    mode="reactive", wake_energy_j=HETERO_WAKE_ENERGY_J
-                ),
             )
-        )
-    labels = tuple(label for label, *_ in HETERO_ROWS)
-    return HeteroResult(
-        application=application,
-        region_names=region_names,
-        region_devices=devices,
-        labels=labels,
-        total_carbon_g={k: r.total_carbon_g for k, r in results.items()},
-        total_energy_j={k: r.total_energy_j for k, r in results.items()},
-        user_sla_attainment={
-            k: r.user_sla_attainment for k, r in results.items()
+            for label, router, efficiency, needs_lookahead in HETERO_ROWS
         },
-        accuracy_loss_pct={k: r.accuracy_loss_pct for k, r in results.items()},
-        mean_awake_fraction={
-            k: r.mean_awake_fraction for k, r in results.items()
-        },
-        request_shares={k: r.request_shares for k, r in results.items()},
+        columns=(
+            "Carbon(g)", "Energy(kWh)", "AwakeGPU%", "UserSLA%", "AccLoss%",
+            "Busiest region",
+        ),
+        label_header="Router",
+    )
+    gain = comparison.saving_pct("greedy/efficiency", vs="greedy/intensity")
+    return replace(
+        comparison, footer=("efficiency gain", f"{gain:.2f}% vs intensity-only")
     )
 
 
@@ -1721,80 +1485,6 @@ SHIFTING_ROWS: tuple[tuple[str, str, bool, bool, str | None], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class ShiftingResult:
-    """Spatial-only vs temporal-only vs joint shifting of batch work.
-
-    The headline property is :attr:`joint_saving_vs_spatial_pct` — the
-    fleet carbon the temporal scheduler saves over admitting the *same*
-    batch workload the epoch it arrives — plus the guarantee columns:
-    batch deadline attainment and interactive SLA, neither of which joint
-    shifting may degrade.
-    """
-
-    application: str
-    region_names: tuple[str, ...]
-    labels: tuple[str, ...]
-    total_carbon_g: dict[str, float]
-    sla_attainment: dict[str, float]
-    accuracy_loss_pct: dict[str, float]
-    batch_attainment: dict[str, float]
-    batch_completed: dict[str, float]
-    batch_carbon_g_per_request: dict[str, float]
-    mean_shift_h: dict[str, float]
-    mean_awake_fraction: dict[str, float]
-
-    @property
-    def joint_saving_vs_spatial_pct(self) -> float:
-        """Fleet carbon saved by shifting *when*, on top of *where*."""
-        spatial = self.total_carbon_g["spatial-only"]
-        joint = self.total_carbon_g["joint"]
-        return (1.0 - joint / spatial) * 100.0
-
-    @property
-    def min_batch_attainment(self) -> float:
-        """Worst batch deadline attainment across rows that ran batch."""
-        decided = [
-            v for v in self.batch_attainment.values() if np.isfinite(v)
-        ]
-        return min(decided) if decided else float("nan")
-
-    def table(self):
-        headers = (
-            "Scenario", "Carbon(g)", "SLA%", "AccLoss%",
-            "BatchReq", "BatchOnTime%", "Batch g/req", "Shift(h)", "Awake%",
-        )
-        rows = []
-        for label in self.labels:
-            batch_att = self.batch_attainment[label]
-            has_batch = np.isfinite(batch_att)
-            rows.append(
-                (
-                    label,
-                    f"{self.total_carbon_g[label]:,.0f}",
-                    f"{100 * self.sla_attainment[label]:.1f}",
-                    f"{self.accuracy_loss_pct[label]:.2f}",
-                    f"{self.batch_completed[label]:,.0f}" if has_batch else "-",
-                    f"{100 * batch_att:.1f}" if has_batch else "-",
-                    (
-                        f"{self.batch_carbon_g_per_request[label]:.2e}"
-                        if has_batch
-                        else "-"
-                    ),
-                    f"{self.mean_shift_h[label]:.2f}" if has_batch else "-",
-                    f"{100 * self.mean_awake_fraction[label]:.1f}",
-                )
-            )
-        rows.append(
-            (
-                "joint vs spatial",
-                f"{self.joint_saving_vs_spatial_pct:.2f}% saved",
-                "-", "-", "-", "-", "-", "-", "-",
-            )
-        )
-        return headers, rows
-
-
 @experiment("shifting", "temporal load shifting: deferrable batch into clean epochs")
 def temporal_shifting(
     runner: ExperimentRunner | None = None,
@@ -1808,7 +1498,7 @@ def temporal_shifting(
     jobs_per_h: float = SHIFTING_JOBS_PER_H,
     requests_per_job: float = SHIFTING_REQUESTS_PER_JOB,
     deadline_h: float = SHIFTING_DEADLINE_H,
-) -> ShiftingResult:
+) -> Comparison:
     """Temporal load shifting: the *when* lever next to the *where* lever.
 
     One deferrable batch class rides the diurnal interactive workload on
@@ -1827,67 +1517,44 @@ def temporal_shifting(
       backlog needs the clean window — batch work keeps the fleet awake
       but *clean*.
     """
-    runner = runner or ExperimentRunner()
-    results = {}
-    for label, router, has_batch, defer, gating in SHIFTING_ROWS:
-        results[label] = runner.run_scenario(
-            ScenarioSpec(
-                regions=tuple(RegionSpec(name=n) for n in region_names),
-                application=application,
-                scheme=scheme,
-                fidelity=fidelity,
-                seed=seed,
-                n_gpus=n_gpus,
-                duration_h=duration_h,
+    base = ScenarioSpec(
+        regions=tuple(RegionSpec(name=n) for n in region_names),
+        application=application,
+        scheme=scheme,
+        fidelity=fidelity,
+        seed=seed,
+        n_gpus=n_gpus,
+        duration_h=duration_h,
+        demand=DIURNAL_DEMAND,
+    )
+    batch = BatchSpec(
+        jobs_per_h=jobs_per_h,
+        requests_per_job=requests_per_job,
+        deadline_h=deadline_h,
+    )
+    comparison = _compare(
+        runner,
+        {
+            label: replace(
+                base,
                 routing=RoutingSpec(router=router),
-                demand=DemandSpec(
-                    kind="diurnal",
-                    ramp_share_per_h=DEMAND_RAMP_SHARE_PER_H,
-                    drain_share_per_h=DEMAND_DRAIN_SHARE_PER_H,
-                ),
                 gating=GatingSpec(mode=gating),
                 batch=(
-                    BatchSpec(
-                        jobs_per_h=jobs_per_h,
-                        requests_per_job=requests_per_job,
-                        deadline_h=deadline_h,
-                        defer=(None if defer else False),
-                    )
+                    replace(batch, defer=None if defer else False)
                     if has_batch
                     else BatchSpec()
                 ),
             )
-        )
-    labels = tuple(label for label, *_ in SHIFTING_ROWS)
-    return ShiftingResult(
-        application=application,
-        region_names=region_names,
-        labels=labels,
-        total_carbon_g={k: r.total_carbon_g for k, r in results.items()},
-        sla_attainment={k: r.sla_attainment for k, r in results.items()},
-        accuracy_loss_pct={
-            k: r.accuracy_loss_pct for k, r in results.items()
+            for label, router, has_batch, defer, gating in SHIFTING_ROWS
         },
-        batch_attainment={
-            k: (r.batch_deadline_attainment if r.has_batch else float("nan"))
-            for k, r in results.items()
-        },
-        batch_completed={
-            k: (r.batch_completed_requests if r.has_batch else float("nan"))
-            for k, r in results.items()
-        },
-        batch_carbon_g_per_request={
-            k: (r.batch_carbon_g_per_request if r.has_batch else float("nan"))
-            for k, r in results.items()
-        },
-        mean_shift_h={
-            k: (r.mean_shift_h if r.has_batch else float("nan"))
-            for k, r in results.items()
-        },
-        mean_awake_fraction={
-            k: r.mean_awake_fraction for k, r in results.items()
-        },
+        columns=(
+            "Carbon(g)", "SLA%", "AccLoss%", "BatchReq", "BatchOnTime%",
+            "Batch g/req", "Shift(h)", "Awake%",
+        ),
+        label_header="Scenario",
     )
+    saved = comparison.saving_pct("joint", vs="spatial-only")
+    return replace(comparison, footer=("joint vs spatial", f"{saved:.2f}% saved"))
 
 
 #: Registry for the CLI: experiment name -> callable(runner, fidelity, seed).

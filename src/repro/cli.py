@@ -491,14 +491,20 @@ def _parse_axes(tokens: list[str]) -> dict[str, list]:
             raise ValueError(
                 f"bad --axis {token!r} (want PATH=V1,V2,...)"
             )
-        axes[path.strip()] = [
+        path = path.strip()
+        if path in axes:
+            raise ValueError(
+                f"--axis {path} given twice; list every value in one flag "
+                f"({path}=V1,V2,...)"
+            )
+        axes[path] = [
             _parse_axis_value(v) for v in values.split(",") if v.strip()
         ]
     return axes
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.analysis.reporting import format_table
+    from repro.analysis.comparison import Comparison
     from repro.scenarios import expand, run_sweep
 
     try:
@@ -528,30 +534,22 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    paths = list(axes)
-    headers = (*paths, "Carbon(g)", "Energy(kWh)", "AccLoss%", "SLA%")
-    rows = []
-    for swept, result in zip(grid, results):
-        cells = [str(swept.get(path)) for path in paths]
-        sla = (
-            result.user_sla_attainment
-            if result.has_demand
-            else result.sla_attainment
-        )
-        rows.append(
-            (
-                *cells,
-                f"{result.total_carbon_g:,.0f}",
-                f"{result.total_energy_j / 3.6e6:.2f}",
-                f"{result.accuracy_loss_pct:.2f}",
-                f"{100 * sla:.1f}",
-            )
-        )
+    paths = tuple(axes)
+    comparison = Comparison(
+        {
+            tuple(str(swept.get(path)) for path in paths): result
+            for swept, result in zip(grid, results)
+        },
+        columns=(
+            "Carbon(g)", "Energy(kWh)", "AccLoss%", "SLA%",
+            *(("UserSLA%",) if any(r.has_demand for r in results) else ()),
+        ),
+        label_header=paths,
+    )
     mode = f"{workers} workers" if workers and workers > 1 else "serial"
     print(
-        format_table(
-            headers,
-            rows,
+        render(
+            comparison,
             title=(
                 f"== sweep: {len(grid)} scenarios over "
                 f"{', '.join(paths)} ({spec.fidelity}, {mode}, {dt:.1f}s) =="

@@ -118,6 +118,17 @@ def calibration_ops_per_s(repeats: int = 5) -> float:
     return 1.0 / best
 
 
+#: Timed repeats per scenario side; each side reports its fastest run, so
+#: one descheduled repeat cannot fail the gate (the calibration kernel is
+#: best-of-5 for the same reason).
+TIMING_REPEATS = 3
+
+
+def _best_seconds(run) -> float:
+    """The fastest of :data:`TIMING_REPEATS` calls of ``run() -> seconds``."""
+    return min(run() for _ in range(TIMING_REPEATS))
+
+
 def _family_setup():
     from repro.models.perf import PerfModel
     from repro.models.zoo import default_zoo
@@ -165,15 +176,21 @@ def scenario_batch_eval_1k(fidelity: str = "default") -> ScenarioResult:
 
     fresh().evaluate_batch(configs)  # warm the process-level memos
 
-    t0 = time.perf_counter()
-    fresh().evaluate_batch(configs)
-    batch_s = time.perf_counter() - t0
+    def batch() -> float:
+        evaluator = fresh()
+        t0 = time.perf_counter()
+        evaluator.evaluate_batch(configs)
+        return time.perf_counter() - t0
 
-    evaluator = fresh()
-    t0 = time.perf_counter()
-    for config in configs:
-        evaluator.evaluate(config)
-    scalar_s = time.perf_counter() - t0
+    def scalar() -> float:
+        evaluator = fresh()
+        t0 = time.perf_counter()
+        for config in configs:
+            evaluator.evaluate(config)
+        return time.perf_counter() - t0
+
+    batch_s = _best_seconds(batch)
+    scalar_s = _best_seconds(scalar)
 
     return ScenarioResult(
         name="batch_eval_1k",
@@ -230,8 +247,12 @@ def scenario_sa_epoch(fidelity: str = "default") -> ScenarioResult:
         return result.num_evaluations, time.perf_counter() - t0
 
     run(8)  # warm the process-level memos
-    evals, batch_s = run(8)
-    scalar_evals, scalar_s = run(1)
+    evals, batch_s = min(
+        (run(8) for _ in range(TIMING_REPEATS)), key=lambda r: r[1]
+    )
+    scalar_evals, scalar_s = min(
+        (run(1) for _ in range(TIMING_REPEATS)), key=lambda r: r[1]
+    )
 
     return ScenarioResult(
         name="sa_epoch",
@@ -297,8 +318,8 @@ def scenario_routing_epoch(fidelity: str = "default") -> ScenarioResult:
         return time.perf_counter() - t0
 
     day(plan_origin_cells)  # warm
-    batch_s = day(plan_origin_cells)
-    scalar_s = day(_plan_origin_cells_scalar)
+    batch_s = _best_seconds(lambda: day(plan_origin_cells))
+    scalar_s = _best_seconds(lambda: day(_plan_origin_cells_scalar))
 
     return ScenarioResult(
         name="routing_epoch",
@@ -342,8 +363,8 @@ def scenario_shifting_epoch(fidelity: str = "default") -> ScenarioResult:
         return time.perf_counter() - t0
 
     day(plan_batch_slots)  # warm
-    batch_s = day(plan_batch_slots)
-    scalar_s = day(_plan_batch_slots_scalar)
+    batch_s = _best_seconds(lambda: day(plan_batch_slots))
+    scalar_s = _best_seconds(lambda: day(_plan_batch_slots_scalar))
 
     return ScenarioResult(
         name="shifting_epoch",

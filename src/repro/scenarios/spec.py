@@ -35,6 +35,7 @@ valid choices in the message, not three layers deep in assembly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 
 from repro.carbon.forecast import FORECASTER_NAMES
@@ -83,6 +84,18 @@ def _choice(label: str, value: str, valid: tuple[str, ...]) -> str:
             f"unknown {label} {value!r}; valid: {', '.join(valid)}"
         )
     return value
+
+
+def _finite(spec, section: str, *names: str) -> None:
+    """Reject NaN and +/-inf in the named float fields (``None`` = unset).
+
+    Every range check below is an ordered comparison, and NaN fails all
+    of them, so it would pass ``x < 0`` guards and reach the simulator.
+    """
+    for name in names:
+        value = getattr(spec, name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{section}{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -151,6 +164,7 @@ class DemandSpec:
     drain_share_per_h: float | None = None
 
     def __post_init__(self) -> None:
+        _finite(self, "demand.", "ramp_share_per_h", "drain_share_per_h")
         if self.kind is not None:
             _choice("demand kind", self.kind, DEMAND_KINDS)
         if not 0.0 < self.scale <= 1.0:
@@ -183,6 +197,7 @@ class RoutingSpec:
     efficiency_weighted: bool = True
 
     def __post_init__(self) -> None:
+        _finite(self, "routing.", "lookahead_h")
         _choice("router", self.router, ROUTER_NAMES)
         _choice("forecaster", self.forecaster, FORECASTER_NAMES)
         if self.lookahead_h is not None:
@@ -216,6 +231,7 @@ class GatingSpec:
     wake_energy_j: float | None = None
 
     def __post_init__(self) -> None:
+        _finite(self, "gating.", "wake_energy_j")
         if self.mode is not None:
             _choice("gating mode", self.mode, GATING_MODES)
         if self.wake_energy_j is not None:
@@ -251,6 +267,7 @@ class BatchSpec:
     defer: bool | None = None
 
     def __post_init__(self) -> None:
+        _finite(self, "batch.", "jobs_per_h", "requests_per_job", "deadline_h")
         if self.jobs_per_h is None:
             set_fields = [
                 name
@@ -366,6 +383,7 @@ class ScenarioSpec:
         _choice("application", self.application, APPLICATION_NAMES)
         _choice("scheme", self.scheme, SCHEME_NAMES)
         _choice("fidelity", self.fidelity, FIDELITY_NAMES)
+        _finite(self, "", "duration_h", "net_latency_ms", "lambda_weight")
         if self.n_gpus <= 0:
             raise ValueError(f"n_gpus must be positive, got {self.n_gpus}")
         if self.duration_h is not None and self.duration_h <= 0.0:

@@ -52,6 +52,11 @@ def expand(
             )
         if len(values) == 0:
             raise ValueError(f"sweep axis {path!r} has no values")
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            # Each grid point is one row of the sweep table, keyed by its
+            # axis values; a repeated value would be the same row twice.
+            raise ValueError(f"sweep axis {path!r} repeats {repeated[0]!r}")
     grid = []
     for combo in itertools.product(*(axes[p] for p in paths)):
         spec = base

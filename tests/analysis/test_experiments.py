@@ -142,19 +142,22 @@ class TestDemandRouting:
         )
 
     def test_static_is_the_zero_of_the_save_column(self, result):
-        assert result.carbon_save_vs_static_pct["static"] == pytest.approx(0.0)
+        headers, rows = result.table()
+        static = rows[result.labels.index("static")]
+        assert float(static[headers.index("SaveVsStatic%")]) == pytest.approx(0.0)
 
     def test_carbon_routers_save_vs_static(self, result):
-        assert result.carbon_save_vs_static_pct["carbon-greedy"] > 0.0
-        assert result.carbon_save_vs_static_pct["forecast-aware"] > 0.0
+        assert result.saving_pct("carbon-greedy", vs="static") > 0.0
+        assert result.saving_pct("forecast-aware", vs="static") > 0.0
 
     def test_origin_shares_cover_the_world(self, result):
-        assert set(result.origin_names) == set(result.origin_shares)
-        assert sum(result.origin_shares.values()) == pytest.approx(1.0)
+        static = result["static"]
+        assert set(static.origin_names) == set(static.origin_request_shares)
+        assert sum(static.origin_request_shares.values()) == pytest.approx(1.0)
 
     def test_table_renders_one_row_per_router(self, result):
         headers, rows = result.table()
-        assert len(rows) == len(result.routers)
+        assert len(rows) == len(result.labels)
         assert "UserSLA%" in headers
         assert len(headers) == len(rows[0])
 

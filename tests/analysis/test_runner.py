@@ -114,14 +114,14 @@ class TestFleetRuns:
             routers=("static", "carbon-greedy"),
         )
         assert (
-            result.total_carbon_g["carbon-greedy"]
-            < result.total_carbon_g["static"]
+            result["carbon-greedy"].total_carbon_g
+            < result["static"].total_carbon_g
         )
         assert (
-            result.sla_attainment["carbon-greedy"]
-            >= result.sla_attainment["static"]
+            result["carbon-greedy"].sla_attainment
+            >= result["static"].sla_attainment
         )
-        assert result.carbon_save_vs_static_pct["carbon-greedy"] > 0.0
+        assert result.saving_pct("carbon-greedy", vs="static") > 0.0
         headers, rows = result.table()
         assert len(rows) == 2
 

@@ -1,6 +1,7 @@
 """ScenarioSpec construction, validation and serialization round-trips."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -160,6 +161,52 @@ class TestValidation:
         assert hash(minimal()) == hash(minimal())
         assert minimal() == minimal()
         assert minimal(seed=1) != minimal(seed=2)
+
+
+#: Every float field a range check guards: (section, field, the rest of
+#: the section a valid spec needs).  NaN slips through ``x < 0`` checks.
+FLOAT_FIELDS = [
+    ("", "duration_h", {}),
+    ("", "net_latency_ms", {}),
+    ("", "lambda_weight", {}),
+    ("routing", "lookahead_h", {"router": "forecast-aware"}),
+    ("demand", "ramp_share_per_h", {}),
+    ("demand", "drain_share_per_h", {}),
+    ("gating", "wake_energy_j", {"mode": "reactive"}),
+    ("batch", "jobs_per_h", {}),
+    ("batch", "requests_per_job", {"jobs_per_h": 10.0}),
+    ("batch", "deadline_h", {"jobs_per_h": 10.0}),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "section, name, rest",
+    FLOAT_FIELDS,
+    ids=[f"{section or 'spec'}.{name}" for section, name, _ in FLOAT_FIELDS],
+)
+class TestNonFiniteRejected:
+    def test_dataclass(self, section, name, rest, value):
+        spec = minimal()
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            if section:
+                sub = dataclasses.replace(
+                    getattr(spec, section), **rest, **{name: value}
+                )
+                dataclasses.replace(spec, **{section: sub})
+            else:
+                dataclasses.replace(spec, **{name: value})
+
+    def test_toml(self, section, name, rest, value):
+        lines = [f"{k} = {v!r}" for k, v in {**rest, name: value}.items()]
+        lines = [line.replace("'", '"') for line in lines]
+        regions = ["[[regions]]", 'name = "us-ciso"']
+        text = "\n".join(
+            [*lines, *regions] if not section
+            else [*regions, f"[{section}]", *lines]
+        )
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            spec_from_toml(text)
 
 
 class TestOverride:

@@ -51,6 +51,8 @@ class TestExpand:
             expand(base_spec(), {"seed": 3})
         with pytest.raises(ValueError, match="no values"):
             expand(base_spec(), {"seed": []})
+        with pytest.raises(ValueError, match="'seed' repeats 0"):
+            expand(base_spec(), {"seed": [0, 1, 0]})
 
     def test_invalid_combination_fails_at_expansion(self):
         with pytest.raises(ValueError, match="valid:"):

@@ -204,6 +204,17 @@ class TestScenarioRun:
         err = capsys.readouterr().err
         assert "bananas" in err and "valid" in err
 
+    def test_infinite_duration_fails_actionably(self, tmp_path, capsys):
+        path = self._write(
+            tmp_path,
+            SCENARIO_TOML.replace("duration_h = 2.0", "duration_h = inf"),
+            "inf.toml",
+        )
+        assert main(["run", path]) == 2
+        err = capsys.readouterr().err
+        assert "duration_h must be finite" in err
+        assert "Traceback" not in err
+
     def test_missing_file_fails(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.toml")]) == 2
         assert "no such scenario file" in capsys.readouterr().err
@@ -251,6 +262,25 @@ class TestSweepCommand:
             ["sweep", self._write(tmp_path), "--axis", "seed"]
         ) == 2
         assert "PATH=V1,V2" in capsys.readouterr().err
+
+    def test_repeated_axis_flag_fails(self, tmp_path, capsys):
+        assert main(
+            [
+                "sweep", self._write(tmp_path),
+                "--axis", "seed=0,1", "--axis", "seed=2",
+            ]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "--axis seed given twice" in err
+        assert "Traceback" not in err
+
+    def test_axis_flag_overrides_file_axis(self, tmp_path, capsys):
+        extra = "\n[sweep.axes]\nseed = [0, 1]\n"
+        assert main(
+            ["sweep", self._write(tmp_path, extra), "--axis", "seed=3"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "sweep: 1 scenarios over seed" in out
 
 
 class TestFleetShimBuildsEqualSpecs:
