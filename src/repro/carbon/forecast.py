@@ -19,7 +19,7 @@ multi-hour horizons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,6 +74,11 @@ class DiurnalForecaster:
 
     trace: CarbonIntensityTrace
     anomaly_halflife_h: float = 6.0
+    #: Profiles memoized by how many samples they average: ``times_h`` is
+    #: sorted, so the profile at ``t_h`` depends on nothing else.
+    _profiles: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.anomaly_halflife_h <= 0:
@@ -89,18 +94,21 @@ class DiurnalForecaster:
         persistence.  With *no* samples at all there is nothing to anchor
         even persistence to, and the query is an error.
         """
-        mask = self.trace.times_h <= t_h
-        if mask.sum() == 0:
+        n = int(np.count_nonzero(self.trace.times_h <= t_h))
+        if n == 0:
             raise ValueError("no history at or before the query time")
-        if mask.sum() < 2:
+        if n < 2:
             return None
-        hours = self.trace.times_h[mask] % 24.0
-        values = self.trace.values[mask]
-        profile = np.empty(24)
-        overall = values.mean()
-        for h in range(24):
-            sel = (hours >= h) & (hours < h + 1)
-            profile[h] = values[sel].mean() if sel.any() else overall
+        profile = self._profiles.get(n)
+        if profile is None:
+            hours = self.trace.times_h[:n] % 24.0
+            values = self.trace.values[:n]
+            profile = np.empty(24)
+            overall = values.mean()
+            for h in range(24):
+                sel = (hours >= h) & (hours < h + 1)
+                profile[h] = values[sel].mean() if sel.any() else overall
+            self._profiles[n] = profile
         return profile
 
     def predict(self, t_h: float, horizon_h: float) -> float:

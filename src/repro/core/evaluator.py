@@ -392,7 +392,7 @@ class ConfigEvaluator:
         """Batch-compute cache misses as one zero-padded group.
 
         Ragged candidate sets are right-padded to the widest row and
-        masked, so every miss shares a single lockstep p95 bisection —
+        masked, so every miss shares a single lockstep p95 search —
         the per-iteration cost amortizes over the whole batch instead of
         one group per distinct instance count.
         """

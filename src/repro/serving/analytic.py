@@ -16,7 +16,15 @@ The model is an M/G/c approximation of the heterogeneous FIFO service:
 * conditional on queueing, the wait is approximated as exponential,
 * the response-time CDF is the convolution of that wait with the discrete
   mixture of per-instance service times, and quantiles are found by
-  bisection on the (monotone) CDF.
+  multisection on the (monotone) CDF: each pass evaluates ``K`` interior
+  points of every row's bracket in one block and keeps the sub-interval
+  that holds ``q``, until every bracket is within 1e-12 relative.
+
+A single estimate (:class:`QueueEstimate`) is a one-row call into the same
+CDF kernel and quantile loop that a batch (:class:`BatchQueueEstimate`)
+runs; ``K`` is sized per call so one ``rows x K x instances`` block stays
+within 64 KB.  The plain bisection survives only as the test reference,
+:func:`repro.perf.reference.bisect_quantile_s`.
 
 Accuracy against the DES is pinned by tests (see
 ``tests/serving/test_analytic.py``): a few percent on utilization and
@@ -25,6 +33,7 @@ request shares, ~10% on p95 in the load regimes the optimizer visits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -111,6 +120,113 @@ def erlang_c_batch(c, offered_load) -> np.ndarray:
     return np.where(a == 0.0, 0.0, out)
 
 
+#: Cells (rows x points x instances) in one CDF block: 64 KB of float64.
+_BLOCK_CELLS = 8192
+#: Most interior points one pass evaluates per bracket.
+_MAX_POINTS = 63
+#: A quantile search stops once every bracket is this narrow, relative.
+_QUANTILE_RTOL = 1e-12
+#: Pass cap: bisection alone (``K = 1``) narrows ``2**80``-fold in 80.
+_MAX_PASSES = 80
+#: Brackets that would have to grow past this (seconds) have no finite
+#: quantile.
+_BRACKET_LIMIT_S = 1e9
+
+
+def _cdf_block(service, shares, p_wait, mean_wait_s, k: int):
+    """The mixture latency CDF as a closure over in-place ``(n, k, m)`` blocks.
+
+    ``service``/``shares`` are ``(n, m)`` and ``p_wait``/``mean_wait_s``
+    ``(n,)``; the closure maps ``(n, j)`` times, ``j <= k``, to the
+    ``(n, j)`` probabilities ``P(latency <= t)``.  Per-row constants are
+    hoisted: a row with no wait gets ``p_wait = beta = 0``, which makes its
+    waiting tail exactly 1.0, so the plain service-time mixture needs no
+    branch.  Padded cells carry zero shares and drop out of every sum.
+
+    Each call updates buffers owned by the closure instead of allocating
+    ~10 block-sized temporaries (a fresh mmap plus its page faults per op
+    costs more than the arithmetic on large blocks).  The mixture sum is a
+    row-wise reduction, so a row's CDF does not depend on ``n`` or ``k``.
+    """
+    n, m = service.shape
+    waits = (p_wait > 0) & (mean_wait_s > 0)
+    beta = np.divide(p_wait, mean_wait_s, out=np.zeros(n), where=waits)
+    neg_beta = (-beta)[:, None, None]
+    p = np.where(waits, p_wait, 0.0)[:, None, None]
+    service3 = service[:, None, :]
+    shares3 = shares[:, None, :]
+    x_buf = np.empty((n, k, m))
+    nonneg_buf = np.empty((n, k, m), dtype=bool)
+
+    def cdf(t_s: np.ndarray) -> np.ndarray:
+        j = t_s.shape[1]
+        x, nonneg = x_buf[:, :j], nonneg_buf[:, :j]
+        np.subtract(t_s[:, :, None], service3, out=x)
+        np.greater_equal(x, 0.0, out=nonneg)
+        np.maximum(x, 0.0, out=x)
+        np.multiply(neg_beta, x, out=x)
+        np.exp(x, out=x)
+        np.multiply(p, x, out=x)
+        np.subtract(1.0, x, out=x)  # the waiting tail
+        np.multiply(x, nonneg, out=x)
+        np.multiply(shares3, x, out=x)
+        return np.add.reduce(x, axis=2)
+
+    return cdf
+
+
+def _quantiles(service, shares, p_wait, mean_wait_s, q: float) -> np.ndarray:
+    """Row-wise ``q``-quantile of latency by multisection (rows not overloaded).
+
+    Each pass evaluates ``K`` evenly spaced interior points of every row's
+    bracket ``[lo, hi]`` in one CDF block and keeps the sub-interval where
+    the CDF crosses ``q``, so a bracket narrows ``K + 1``-fold per pass
+    and both ends stay points the CDF was evaluated at.  ``K`` fills one
+    block: ~63 points for a single row, one (plain bisection) for a
+    thousand.  The loop stops once every bracket is within 1e-12 of its
+    ``hi``, which it returns.
+    """
+    n, m = service.shape
+    k = max(1, min(_MAX_POINTS, _BLOCK_CELLS // (n * m)))
+    cdf = _cdf_block(service, shares, p_wait, mean_wait_s, k)
+    # Expand until the CDF brackets q (the exponential tail is unbounded).
+    # The guard fails on a bracket that is not positive, past the limit or
+    # NaN: such a row has no finite quantile.
+    hi = (service.max(axis=1) + mean_wait_s)[:, None]
+    while True:
+        short = ~(cdf(hi) >= q)
+        grow = short & (hi > 0.0) & (hi <= _BRACKET_LIMIT_S)
+        if not grow.any():
+            break
+        hi = np.where(grow, 2.0 * hi, hi)
+    # Row layout: [lo, K interior points, hi]; a pass gathers the new
+    # (lo, hi) pair straight from the evaluated points.
+    ext = np.zeros((n, k + 2))
+    ext[:, -1:] = np.where(short, 0.0, hi)  # a blown row starts converged
+    lo, hi, pts, ends = ext[:, :1], ext[:, -1:], ext[:, 1:-1], ext[:, :: k + 1]
+    flat = ext.reshape(-1)
+    pair = (k + 2) * np.arange(n)[:, None] + np.arange(2)
+    frac = np.arange(1, k + 1) / (k + 1)
+    width = np.empty((n, 1))
+    # Brackets narrow (K + 1)-fold per pass from [0, hi], so none can meet
+    # the stopping width before pass ``first``: test only from there.
+    first = int(math.log(1.0 / _QUANTILE_RTOL, k + 1))
+    for i in range(_MAX_PASSES):
+        np.subtract(hi, lo, out=width)
+        if i >= first and (width <= _QUANTILE_RTOL * hi).all():
+            break
+        np.multiply(width, frac, out=pts)
+        np.add(pts, lo, out=pts)
+        below = np.add.reduce(cdf(pts) < q, axis=1)
+        ends[...] = flat[pair + below[:, None]]
+    return np.where(short[:, 0], np.inf, ext[:, -1])
+
+
+def _check_quantile(q: float) -> None:
+    if not 0.0 < q < 1.0:
+        raise ValueError(f"quantile must be in (0, 1), got {q}")
+
+
 @dataclass(frozen=True)
 class QueueEstimate:
     """Steady-state estimate of the serving pipeline for one configuration."""
@@ -131,38 +247,27 @@ class QueueEstimate:
             return float("inf")
         return self.mean_wait_s + self.mean_service_s
 
+    def _row(self) -> tuple:
+        """This estimate as one row of the batch kernels' arguments."""
+        return (
+            self.service_s[None, :],
+            self.shares[None, :],
+            np.array([self.p_wait]),
+            np.array([self.mean_wait_s]),
+        )
+
     def latency_cdf(self, t_s: float) -> float:
         """P(end-to-end latency <= t_s) under the mixture model."""
         if self.overloaded:
             return 0.0
-        if self.p_wait <= 0 or self.mean_wait_s <= 0:
-            return float(np.dot(self.shares, (self.service_s <= t_s)))
-        beta = self.p_wait / self.mean_wait_s  # conditional wait rate
-        x = t_s - self.service_s
-        mask = x >= 0
-        cdf_terms = np.where(mask, 1.0 - self.p_wait * np.exp(-beta * np.maximum(x, 0.0)), 0.0)
-        return float(np.dot(self.shares, cdf_terms))
+        return float(_cdf_block(*self._row(), 1)(np.array([[t_s]]))[0, 0])
 
     def quantile_s(self, q: float) -> float:
         """The ``q``-quantile (q in (0, 1)) of end-to-end latency, seconds."""
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {q}")
+        _check_quantile(q)
         if self.overloaded:
             return float("inf")
-        lo = 0.0
-        hi = float(self.service_s.max()) + self.mean_wait_s
-        # Expand until the CDF brackets q (the exponential tail is unbounded).
-        while self.latency_cdf(hi) < q:
-            hi *= 2.0
-            if hi > 1e9:  # pragma: no cover - defensive
-                return float("inf")
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if self.latency_cdf(mid) < q:
-                lo = mid
-            else:
-                hi = mid
-        return hi
+        return float(_quantiles(*self._row(), q)[0])
 
     def p95_ms(self) -> float:
         """p95 end-to-end latency in milliseconds (the paper's SLA metric)."""
@@ -185,14 +290,32 @@ def estimate_fifo(
     jitter_cv:
         Service-time jitter, folded into the squared coefficient of
         variation used by the Allen–Cunneen wait correction.
+
+    Examples
+    --------
+    A single estimate is a one-row call into the batch kernel, so its p95
+    matches the same row of a batch:
+
+    >>> import numpy as np
+    >>> service = np.array([0.01, 0.02, 0.05])
+    >>> one = estimate_fifo(service, 60.0)
+    >>> rows = estimate_fifo_batch(service, np.array([60.0, 200.0]))
+    >>> p95 = rows.p95_ms()
+    >>> bool(abs(p95[0] - one.p95_ms()) <= 1e-9 * one.p95_ms())
+    True
+    >>> over = estimate_fifo(service, 200.0)  # 200/s > 0.98 x 170/s capacity
+    >>> bool(rows.overloaded[1]), bool(p95[1] == over.p95_ms() == float("inf"))
+    (True, True)
     """
     service = np.asarray(mean_service_s, dtype=np.float64)
     if service.ndim != 1 or service.size == 0:
         raise ValueError("mean_service_s must be a non-empty 1-D array")
+    if not np.all(np.isfinite(service)):
+        raise ValueError("mean_service_s must be finite")
     if np.any(service <= 0):
         raise ValueError("all mean service times must be positive")
-    if rate_per_s <= 0:
-        raise ValueError(f"arrival rate must be positive, got {rate_per_s}")
+    if not rate_per_s > 0:  # NaN fails too
+        raise ValueError(f"rate_per_s must be positive, got {rate_per_s}")
 
     m = service.size
     mu = 1.0 / service
@@ -246,9 +369,10 @@ class BatchQueueEstimate:
 
     Row ``i`` is exactly what ``estimate_fifo(service_s[i], rates_per_s[i])``
     would produce (the same formulas evaluated elementwise; agreement is
-    within ~1e-12 relative, bounded only by summation-order rounding), but
-    all rows share one pass through the Erlang recursion and one lockstep
-    quantile bisection — the evaluator's batch hot path.
+    within ~1e-12 relative, bounded by summation-order rounding and the
+    quantile search's stopping width), but all rows share one pass through
+    the Erlang recursion and one lockstep quantile multisection — the
+    evaluator's batch hot path.
     """
 
     rates_per_s: np.ndarray
@@ -263,88 +387,19 @@ class BatchQueueEstimate:
     def __len__(self) -> int:
         return int(self.rates_per_s.size)
 
-    def _cdf_fn(self):
-        """A lean row-wise CDF closure with the per-row constants hoisted.
-
-        The quantile bisection evaluates the CDF ~82 times; computing
-        ``beta`` and the degenerate/overload masks once keeps each pass to
-        the unavoidable ``exp`` over the ``(n, m)`` block.  Padded cells
-        carry zero shares, so they drop out of every mixture sum.
-        """
-        shares, service = self.shares, self.service_s
-        p_wait = self.p_wait[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            beta = np.where(
-                self.mean_wait_s > 0, self.p_wait / self.mean_wait_s, 0.0
-            )[:, None]
-        degenerate = ((self.p_wait <= 0) | (self.mean_wait_s <= 0))[:, None]
-        overloaded = self.overloaded
-        neg_beta = -beta
-        # Each pass updates the (n, m) block in place in buffers owned by
-        # this closure instead of allocating ~10 block-sized temporaries:
-        # at 1000 rows a temporary is ~450 KB, and a fresh mmap plus its
-        # page faults per op costs more than the arithmetic.  Same ops in
-        # the same order as the expression form, so results are
-        # bit-identical.
-        x = np.empty(service.shape)
-        nonneg = np.empty(service.shape, dtype=bool)
-        negative = np.empty(service.shape, dtype=bool)
-
-        def cdf(t_s: np.ndarray) -> np.ndarray:
-            np.subtract(t_s[:, None], service, out=x)
-            np.greater_equal(x, 0, out=nonneg)
-            np.logical_not(nonneg, out=negative)
-            np.copyto(x, 0.0, where=negative)
-            np.multiply(neg_beta, x, out=x)
-            np.exp(x, out=x)
-            np.multiply(p_wait, x, out=x)
-            np.subtract(1.0, x, out=x)  # the waiting tail
-            np.copyto(x, 0.0, where=negative)
-            np.copyto(x, nonneg, where=degenerate)
-            np.multiply(shares, x, out=x)
-            return np.where(overloaded, 0.0, np.sum(x, axis=1))
-
-        return cdf
-
-    def _cdf_rows(self, t_s: np.ndarray) -> np.ndarray:
-        """Row-wise ``P(latency <= t_s[i])``; overloaded rows return 0."""
-        return self._cdf_fn()(np.asarray(t_s, dtype=np.float64))
-
     def quantile_s(self, q: float) -> np.ndarray:
         """Row-wise ``q``-quantile of end-to-end latency, seconds."""
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {q}")
-        n = len(self)
-        out = np.full(n, np.inf)
-        ok = ~self.overloaded
-        if not np.any(ok):
-            return out
-        cdf = self._cdf_fn()
-        lo = np.zeros(n)
-        hi = np.where(
-            ok, self.service_s.max(axis=1) + self.mean_wait_s, 1.0
-        )
-        # Expand until every row's CDF brackets q (the exponential tail is
-        # unbounded); rows past the scalar path's 1e9 guard go to inf.
-        for _ in range(64):
-            need = ok & (cdf(hi) < q)
-            if not np.any(need):
-                break
-            hi = np.where(need, hi * 2.0, hi)
-        blown = ok & (hi > 1e9) & (cdf(hi) < q)  # pragma: no cover
-        ok = ok & ~blown
-        # Same 80-step cap as the scalar bisection, but stop once every
-        # row's bracket is ~1e-12 relative — iterations past that point
-        # only churn sub-ulp noise (checked every 8th pass to keep the
-        # reduction off the hot loop).
-        for it in range(80):
-            mid = 0.5 * (lo + hi)
-            less = cdf(mid) < q
-            lo = np.where(ok & less, mid, lo)
-            hi = np.where(ok & ~less, mid, hi)
-            if it % 8 == 7 and bool(np.all(~ok | (hi - lo <= 1e-12 * hi))):
-                break
-        out[ok] = hi[ok]
+        _check_quantile(q)
+        out = np.full(len(self), np.inf)
+        live = ~self.overloaded
+        if np.any(live):
+            out[live] = _quantiles(
+                self.service_s[live],
+                self.shares[live],
+                self.p_wait[live],
+                self.mean_wait_s[live],
+                q,
+            )
         return out
 
     def p95_ms(self) -> np.ndarray:
@@ -374,13 +429,13 @@ def estimate_fifo_batch(
         Optional ``(n, m)`` boolean mask for ragged candidate sets: rows
         with fewer instances are zero-padded on the right and masked out
         here, so configurations of different sizes share one lockstep
-        bisection.  Padded cells must hold ``0.0`` service time and end
+        quantile search.  Padded cells must hold ``0.0`` service time and end
         up with zero share, dropping out of every mixture sum.
 
     Every row reproduces the scalar estimator's formulas; the only
-    divergence is float summation order (``np.dot`` vs row-wise sums),
-    which the fully-converged 80-step quantile bisection keeps below
-    ~1e-12 relative on p95.
+    divergence is float summation order (``np.dot`` vs row-wise sums) in
+    the estimate's fields.  Both paths run the same quantile kernel, whose
+    brackets stop at 1e-12 relative, so p95 agrees to ~1e-12.
     """
     service = np.asarray(mean_service_s, dtype=np.float64)
     if service.ndim == 1:
@@ -396,6 +451,8 @@ def estimate_fifo_batch(
         raise ValueError(
             f"{rates.size} rates for {service.shape[0]} service rows"
         )
+    if not np.all(np.isfinite(service)):
+        raise ValueError("mean_service_s must be finite")
     if valid is not None:
         valid = np.asarray(valid, dtype=bool)
         if valid.shape != service.shape:
@@ -408,8 +465,8 @@ def estimate_fifo_batch(
             raise ValueError("all mean service times must be positive")
     elif np.any(service <= 0):
         raise ValueError("all mean service times must be positive")
-    if np.any(rates <= 0):
-        raise ValueError("all arrival rates must be positive")
+    if not np.all(rates > 0):  # NaN fails too
+        raise ValueError("all rates_per_s must be positive")
 
     n, m = service.shape
     if valid is None:

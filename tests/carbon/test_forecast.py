@@ -99,6 +99,38 @@ class TestDiurnal:
         assert d.predict(t, 6.0) == pytest.approx(float(solar_trace.at(t)))
 
 
+class TestClimatologyMemo:
+    def test_memo_matches_a_fresh_rebuild(self, solar_trace):
+        """Out-of-order queries, repeats and off-sample times all return
+        exactly the profile a fresh forecaster builds."""
+        memo = DiurnalForecaster(solar_trace)
+        for t in (100.0, 30.5, 100.0, 2.0, 30.0, 143.9, 30.5, 1.0):
+            assert np.array_equal(
+                memo._climatology(t), DiurnalForecaster(solar_trace)._climatology(t)
+            )
+            assert np.array_equal(
+                memo.predict_many(t, [0.0, 3.0, 12.0]),
+                DiurnalForecaster(solar_trace).predict_many(t, [0.0, 3.0, 12.0]),
+            )
+
+    def test_memo_keys_on_sample_count(self, solar_trace):
+        d = DiurnalForecaster(solar_trace)
+        step = float(solar_trace.times_h[1] - solar_trace.times_h[0])
+        t0 = float(solar_trace.times_h[10])
+        assert d._climatology(t0) is d._climatology(t0 + 0.5 * step)
+        assert len(d._profiles) == 1
+
+    def test_still_pickles(self, solar_trace):
+        import pickle
+
+        d = DiurnalForecaster(solar_trace)
+        d.predict(50.0, 4.0)
+        clone = pickle.loads(pickle.dumps(d))
+        assert "_profiles" not in repr(clone)
+        for t in (50.0, 80.0):
+            assert clone.predict(t, 4.0) == d.predict(t, 4.0)
+
+
 class TestFactory:
     def test_all_names_construct(self, solar_trace):
         for name in FORECASTER_NAMES:

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.serving.analytic import erlang_c, estimate_fifo
+from repro.serving.analytic import (
+    QueueEstimate,
+    erlang_c,
+    estimate_fifo,
+    estimate_fifo_batch,
+)
 from repro.serving.des import simulate_fifo
 from repro.serving.metrics import summarize
 from repro.serving.workload import PoissonWorkload
@@ -79,6 +84,44 @@ class TestEstimateBasics:
             estimate_fifo(np.array([0.0]), 1.0)
         with pytest.raises(ValueError):
             estimate_fifo(np.array([0.1]), 0.0)
+
+
+class TestNonFiniteInputs:
+    """A non-finite service time or a NaN rate is an error, not a hang or a
+    NaN p95; an estimate built around a non-finite wait reports no finite
+    quantile."""
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_service_time_rejected(self, bad):
+        with pytest.raises(ValueError, match="mean_service_s"):
+            estimate_fifo(np.array([0.01, bad]), 50.0)
+
+    def test_nan_rate_rejected(self):
+        with pytest.raises(ValueError, match="rate_per_s"):
+            estimate_fifo(np.array([0.01, 0.02]), float("nan"))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_batch_service_time_rejected(self, bad):
+        service = np.array([[0.01, 0.02], [0.01, bad]])
+        with pytest.raises(ValueError, match="mean_service_s"):
+            estimate_fifo_batch(service, np.array([5.0, 5.0]))
+        with pytest.raises(ValueError, match="mean_service_s"):
+            estimate_fifo_batch(
+                service, np.array([5.0, 5.0]), valid=np.ones((2, 2), bool)
+            )
+
+    def test_batch_nan_rate_rejected(self):
+        with pytest.raises(ValueError, match="rates_per_s"):
+            estimate_fifo_batch(np.array([0.01, 0.02]), np.array([5.0, np.nan]))
+
+    @pytest.mark.parametrize("mean_wait_s", [np.inf, -np.inf, np.nan])
+    def test_non_finite_wait_has_no_finite_quantile(self, mean_wait_s):
+        est = QueueEstimate(
+            rate_per_s=10.0, utilization=0.5, overloaded=False, p_wait=0.5,
+            mean_wait_s=mean_wait_s, mean_service_s=0.015,
+            shares=np.array([0.5, 0.5]), service_s=np.array([0.01, 0.02]),
+        )
+        assert est.quantile_s(0.95) == float("inf")
 
 
 class TestAgainstDes:
